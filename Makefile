@@ -9,7 +9,7 @@ BENCH_ARTIFACT ?= BENCH_pr9.json
 # Every target runs against the in-tree sources, no install required.
 export PYTHONPATH = src
 
-.PHONY: install test lint chaos scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
+.PHONY: install test lint chaos svcbench-determinism scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -27,6 +27,11 @@ lint:
 
 chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py -m chaos -q
+
+# The service benchmark's determinism self-test: same seed, same exact work
+# counts (six benchmark runs, a few minutes; what nightly CI runs).
+svcbench-determinism:
+	$(PYTHON) -m pytest svcbench -q
 
 # Full scenario catalog on every store backend (what nightly CI runs).
 scenarios:

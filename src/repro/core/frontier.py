@@ -54,6 +54,7 @@ from repro.core.cplds import (
     _READS_VERBOSE,
     _RETRY_HIST,
 )
+from repro.arrays import unique
 from repro.errors import ReproError
 from repro.lds.plds import PLDS, Phase, UpdateHooks, _noop
 from repro.obs import REGISTRY as _OBS
@@ -76,6 +77,14 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: knob; 4 measured best on the bundled datasets (larger values regress —
 #: the array kernels win surprisingly early).
 _SMALL_FRONTIER = 4
+
+#: Insertion rounds with at least this many gathered rows record each
+#: mover–mover dependency pair once instead of twice: on preload-sized
+#: rounds that halves the pair buffer batch_end sorts, while on small rounds
+#: the extra mask costs more than the duplicates it drops.  The pair *set*
+#: is the same either way (batch_end dedups it), so this is only a speed
+#: knob.
+_HALVE_MIN_ROWS = 256
 
 
 def _hook_mode(hooks: UpdateHooks) -> str:
@@ -122,7 +131,7 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                 bucket.append(arr)
 
         if applied:
-            eps = np.unique(
+            eps = unique(
                 np.asarray(applied, dtype=np.int64).reshape(-1, 2).ravel()
             )
             lv = level_arr[eps]
@@ -141,7 +150,7 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
             cand = (
                 chunks[0]
                 if len(chunks) == 1
-                else np.unique(np.concatenate(chunks))
+                else unique(np.concatenate(chunks))
             )
             cands = cand[level_arr[cand] == lvl]
             if cands.size:
@@ -174,7 +183,7 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                     if level[w] == new_level
                 ]
                 if req:
-                    enqueue(np.unique(np.asarray(req, dtype=np.int64)), new_level)
+                    enqueue(unique(np.asarray(req, dtype=np.int64)), new_level)
                 hooks.round_boundary()
                 continue
             src, flat = state.gather_rows(movers)
@@ -203,7 +212,7 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
     hooks.batch_begin("delete", applied)
     try:
         if applied:
-            outstanding = np.unique(
+            outstanding = unique(
                 np.asarray(applied, dtype=np.int64).reshape(-1, 2).ravel()
             )
         else:
@@ -233,7 +242,7 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                     if level[w] > lstar
                 ]
                 if grow:
-                    outstanding = np.unique(
+                    outstanding = unique(
                         np.concatenate(
                             [viols, np.asarray(grow, dtype=np.int64)]
                         )
@@ -261,7 +270,7 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
             # they may violate again at lstar).
             if flat.size:
                 grow = flat[level_arr[flat] > lstar]
-                outstanding = np.unique(np.concatenate([viols, grow]))
+                outstanding = unique(np.concatenate([viols, grow]))
             else:
                 outstanding = viols
             hooks.round_boundary()
@@ -287,7 +296,8 @@ class FrontierMarkingHooks(UpdateHooks):
     :class:`~repro.core.cplds._MarkingHooks` exactly (the differential suite
     pins marked/DAG counts): for an insertion round at level ℓ a gathered
     row (mover ``v``, neighbour ``w``) yields a pair iff ``level(w) >= ℓ``
-    and ``w`` is marked or a co-mover; for a deletion round the mover→
+    and ``w`` is marked or a co-mover (a co-mover edge once, from its
+    lower-numbered endpoint's row); for a deletion round the mover→
     non-mover and mover→mover cases encode the two hook orderings of the
     scalar interleaving; and batch-edge partner pairs reduce to "both
     endpoints marked by phase end" (each hook-time partner pair implies it,
@@ -356,11 +366,15 @@ class FrontierMarkingHooks(UpdateHooks):
         if flat.size:
             stamp = cp.plds.state._stamp
             stamp[movers] = True
-            trigger = (cp.plds.state._level_arr[flat] >= lvl) & (
-                marked[flat] | stamp[flat]
-            )
+            w_moves = stamp[flat]
             stamp[movers] = False
-            if trigger.any():
+            trigger = (cp.plds.state._level_arr[flat] >= lvl) & (
+                marked[flat] | w_moves
+            )
+            if flat.size >= _HALVE_MIN_ROWS:
+                # A mover–mover edge appears as two rows; keep one.
+                trigger &= ~w_moves | (src < flat)
+            if np.count_nonzero(trigger):
                 self._pair_chunks.append((src[trigger], flat[trigger]))
         newly = movers[~marked[movers]]
         cp._old_level[newly] = lvl
@@ -395,7 +409,7 @@ class FrontierMarkingHooks(UpdateHooks):
                 & (src < flat)
                 & ((lstar < lw - 1) | (marked[flat] & below))
             )
-            if pair.any():
+            if np.count_nonzero(pair):
                 self._pair_chunks.append((src[pair], flat[pair]))
         fresh = ~marked[movers]
         newly = movers[fresh]
@@ -421,9 +435,9 @@ class FrontierMarkingHooks(UpdateHooks):
             a = np.concatenate([x for x, _ in self._pair_chunks])
             b = np.concatenate([x for _, x in self._pair_chunks])
             # Dedup before the union: rounds re-derive the same dependency
-            # edge many times (and mover–mover rows twice per round), and
+            # edge many times (in every round that moves an endpoint), and
             # union cost scales with the pair count, not the edge count.
-            key = np.unique(np.minimum(a, b) * np.int64(marked.shape[0]) + np.maximum(a, b))
+            key = unique(np.minimum(a, b) * np.int64(marked.shape[0]) + np.maximum(a, b))
             uf.union_pairs(key // marked.shape[0], key % marked.shape[0])
             if _REC.enabled:
                 # One grouped event per phase-end union (the object engine
@@ -432,10 +446,8 @@ class FrontierMarkingHooks(UpdateHooks):
         marked_idx = np.flatnonzero(marked)
         roots = uf.find_many(marked_idx)
         cp.last_batch_marked = int(marked_idx.size)
-        cp.last_batch_dags = int(np.unique(roots).size)
-        cp.last_batch_dag_map = {
-            int(v): int(r) for v, r in zip(marked_idx, roots)
-        }
+        cp.last_batch_dags = int(unique(roots).size)
+        cp.last_batch_dag_map = dict(zip(marked_idx.tolist(), roots.tolist()))
         if _OBS.enabled:
             _BATCHES.inc()
             _MARKED.inc(cp.last_batch_marked)

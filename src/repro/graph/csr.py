@@ -16,6 +16,7 @@ graph each time.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -47,15 +48,19 @@ class CSRGraph:
     def from_dynamic(cls, g: DynamicGraph) -> "CSRGraph":
         """Snapshot a :class:`DynamicGraph` (single-threaded; call quiescent)."""
         n = g.num_vertices
-        degrees = np.fromiter(
-            (g.degree(v) for v in range(n)), dtype=np.int64, count=n
-        )
+        adj = [g.neighbors_unsafe(v) for v in range(n)]
+        degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        targets = np.empty(int(offsets[-1]), dtype=np.int64)
-        for v in range(n):
-            nbrs = sorted(g.neighbors_unsafe(v))
-            targets[offsets[v] : offsets[v + 1]] = nbrs
+        targets = np.fromiter(
+            chain.from_iterable(adj), dtype=np.int64, count=int(offsets[-1])
+        )
+        # Sort every row at once: keyed by (row, target), one flat sort
+        # keeps the rows in place and orders each row's targets.
+        base = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+        targets += base
+        targets.sort()
+        targets -= base
         return cls(offsets, targets)
 
     @classmethod

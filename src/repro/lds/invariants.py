@@ -3,65 +3,88 @@
 These recompute every quantity from the graph itself — sharing no counters
 with the structures under test — so they certify both the invariants and the
 bookkeeping at once.
+
+Both checks are whole-array passes over the graph's own CSR snapshot
+(:func:`~repro.graph.csr.csr_view`) and the live levels: one ``bincount``
+per invariant, compared against per-level threshold arrays built from the
+parameters.  The lowest-numbered violating vertex is then re-evaluated with
+the scalar threshold, so the raised :class:`InvariantViolation` (message and
+``vertex``) is the one a vertex-by-vertex scan would raise first.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import InvariantViolation
+from repro.graph.csr import csr_view
 from repro.lds.bookkeeping import LevelState
+
+
+def _neighbour_levels(state: LevelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(level, src, lw)``: per-vertex levels, and for every adjacency
+    entry of the CSR its source vertex and the neighbour's level."""
+    csr = csr_view(state.graph)
+    level = np.asarray(state.level, dtype=np.int64)
+    src = np.repeat(np.arange(level.size, dtype=np.int64), np.diff(csr.offsets))
+    return level, src, level[csr.targets]
 
 
 def check_invariant1(state: LevelState) -> None:
     """Degree upper bound for every vertex, recomputed from the graph."""
     params = state.params
-    for v in range(state.graph.num_vertices):
-        lvl = state.level[v]
-        if lvl >= params.max_level:
-            continue
-        up = sum(
-            1 for w in state.graph.neighbors_unsafe(v) if state.level[w] >= lvl
-        )
-        bound = params.upper_threshold(lvl)
-        if up > bound:
+    level, src, lw = _neighbour_levels(state)
+    n = level.size
+    up = np.bincount(src[lw >= level[src]], minlength=n)
+    upper = np.array(
+        [params.upper_threshold(l) for l in range(params.num_levels)],
+        dtype=np.float64,
+    )
+    checked = level < params.max_level
+    # Levels outside the table (only negative ones get here) go to the
+    # scalar threshold below, which rejects them as the scan did.
+    outside = level < 0
+    bound = upper[np.clip(level, 0, params.max_level)]
+    for v in np.flatnonzero(checked & (outside | (up > bound))).tolist():
+        lvl = int(level[v])
+        k = int(up[v])
+        b = params.upper_threshold(lvl)
+        if k > b:
             raise InvariantViolation(
                 f"Invariant 1 violated at vertex {v}: level {lvl}, "
-                f"up-degree {up} > bound {bound:.3f}",
+                f"up-degree {k} > bound {b:.3f}",
                 vertex=v,
             )
 
 
-def check_invariant2(state: LevelState, *, slack_levels: int = 0) -> None:
-    """Degree lower bound for every vertex, recomputed from the graph.
-
-    ``slack_levels`` loosens the check for shallow (``levels_per_group``
-    override) configurations where the paper's own implementation tolerates
-    bounded staleness: a vertex may sit up to ``slack_levels`` above the
-    highest level at which Invariant 2 holds.
-    """
-    for v in range(state.graph.num_vertices):
-        lvl = state.level[v]
-        if lvl == 0:
-            continue
-        at_or_above = sum(
-            1
-            for w in state.graph.neighbors_unsafe(v)
-            if state.level[w] >= lvl - 1
-        )
-        bound = state.params.lower_threshold(lvl)
-        if at_or_above < bound:
-            if slack_levels:
-                desire = state.desire_level(v)
-                if lvl - desire <= slack_levels:
-                    continue
+def check_invariant2(state: LevelState) -> None:
+    """Degree lower bound for every vertex, recomputed from the graph."""
+    params = state.params
+    level, src, lw = _neighbour_levels(state)
+    n = level.size
+    at_or_above = np.bincount(src[lw >= level[src] - 1], minlength=n)
+    # lower_threshold is defined on 0..num_levels (0.0 at and below 0).
+    top = params.num_levels
+    lower = np.array(
+        [params.lower_threshold(l) for l in range(top + 1)], dtype=np.float64
+    )
+    checked = level != 0
+    outside = level > top
+    bound = lower[np.clip(level, 0, top)]
+    for v in np.flatnonzero(checked & (outside | (at_or_above < bound))).tolist():
+        lvl = int(level[v])
+        k = int(at_or_above[v])
+        b = params.lower_threshold(lvl)
+        if k < b:
             raise InvariantViolation(
                 f"Invariant 2 violated at vertex {v}: level {lvl}, "
-                f"neighbours at >= {lvl - 1}: {at_or_above} < bound {bound:.3f}",
+                f"neighbours at >= {lvl - 1}: {k} < bound {b:.3f}",
                 vertex=v,
             )
 
 
-def check_all_invariants(state: LevelState, *, slack_levels: int = 0) -> None:
+def check_all_invariants(state: LevelState) -> None:
     """Both invariants plus counter consistency, in one call."""
     state.assert_counters_consistent()
     check_invariant1(state)
-    check_invariant2(state, slack_levels=slack_levels)
+    check_invariant2(state)

@@ -45,7 +45,9 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.arrays import unique
 from repro.errors import LDSError
+from repro.graph.csr import csr_view
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.lds.params import LDSParams
 from repro.obs import REGISTRY as _OBS
@@ -204,6 +206,22 @@ class ColumnarLevelStore:
         self.down = grown
         self._width = new
 
+    def _down_flat(self) -> np.ndarray:
+        """``down`` as a flat writable view: cell ``(v, l)`` sits at
+        ``v * width + l``.
+
+        Scatters whose column varies per row use ``np.add.at`` on this view
+        with precomputed indices: the 2-D tuple form ``(rows, cols)`` takes
+        NumPy's multi-index path, 2.4–4× slower from ~1k indices up.
+        Re-take the view after :meth:`_ensure_width`, which may reallocate
+        ``down``.
+        """
+        flat = self.down.ravel()
+        # Every assignment to `down` allocates a fresh C-contiguous matrix,
+        # so ravel() is a view; a copy would silently drop the scatters.
+        assert flat.base is not None
+        return flat
+
     # ------------------------------------------------------------------
     # Edge bookkeeping
     # ------------------------------------------------------------------
@@ -263,6 +281,8 @@ class ColumnarLevelStore:
             _K_SCATTER.inc()
             _K_ROWS.inc(int(arr.shape[0]))
         level = self._level_arr
+        down = self._down_flat()
+        width = self._width
         for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
             la = level[a]
             lb = level[b]
@@ -271,7 +291,7 @@ class ColumnarLevelStore:
                 np.add.at(self.up_deg, a[up], sign)
             dn = ~up
             if dn.any():
-                np.add.at(self.down, (a[dn], lb[dn]), sign)
+                np.add.at(down, a[dn] * width + lb[dn], sign)
 
     # ------------------------------------------------------------------
     # Level changes
@@ -433,7 +453,7 @@ class ColumnarLevelStore:
                 t = flat[at_new]
                 np.add.at(self.down[:, old], t, -1)
                 np.add.at(self.up_deg, t, 1)
-                requeue = np.unique(t).tolist()
+                requeue = unique(t).tolist()
             above = lw > new
             if above.any():
                 t = flat[above]
@@ -603,9 +623,55 @@ class ColumnarLevelStore:
         return up, down
 
     def assert_counters_consistent(self) -> None:
-        """Raise ``AssertionError`` if any counter drifted from the graph."""
-        if self.level != self._level_arr.tolist():
-            raise AssertionError("level list and its array mirror diverged")
+        """Raise ``AssertionError`` if any counter drifted from the graph.
+
+        Whole-array, O(n + m + nnz(down)): ``up_deg`` is recomputed with one
+        ``bincount`` over the graph's CSR snapshot, and the below-level
+        neighbour counts as sorted ``(vertex, level)`` keys with counts,
+        compared against the nonzero cells of ``down`` (a neighbour level
+        outside the matrix has no cell, so it counts as a mismatch).  Only
+        on a mismatch does the per-vertex scan run, to name the first bad
+        vertex exactly as the object store's check does.
+        """
+        mirror = self._level_arr.tolist()
+        if self.level != mirror:
+            v = next(
+                (i for i, (a, b) in enumerate(zip(self.level, mirror)) if a != b),
+                min(len(self.level), len(mirror)),
+            )
+            raise AssertionError(
+                f"level list and its array mirror diverged at vertex {v}"
+            )
+        if not self._counters_match():
+            self._scan_counters()
+
+    def _counters_match(self) -> bool:
+        """The whole-array comparison; False may also mean "cannot tell"
+        (negative levels), which the exact scan then settles."""
+        level = self._level_arr
+        n = level.size
+        if n and level.min() < 0:
+            return False  # no key radix below; the scan names the vertex
+        csr = csr_view(self.graph)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.offsets))
+        ls = level[src]
+        lw = level[csr.targets]
+        is_up = lw >= ls
+        if not np.array_equal(np.bincount(src[is_up], minlength=n), self.up_deg):
+            return False
+        width = self._width
+        # Keys v * span + level(w), with span above every level present.
+        span = max(width, int(level.max()) + 1 if n else 0)
+        below = ~is_up
+        keys, counts = unique(src[below] * span + lw[below], return_counts=True)
+        flat = self._down_flat()
+        cells = np.flatnonzero(flat)
+        return np.array_equal(
+            keys, cells // width * span + cells % width
+        ) and np.array_equal(counts, flat[cells])
+
+    def _scan_counters(self) -> None:
+        """Per-vertex counter check (raises on the first bad vertex)."""
         up, down = self.recompute_counters()
         width = self._width
         for v in range(self.graph.num_vertices):
@@ -878,23 +944,30 @@ class FrontierLevelStore(ColumnarLevelStore):
             f = flat[keep]
             s = src[keep]
             lw = self._level_arr[f]
+            # Single-column scatters stay on column views, which measured
+            # as fast as the flat view (see _down_flat) and faster on small
+            # rounds.  count_nonzero is the cheap emptiness test on the
+            # small masks of typical rounds.
             at_old = lw == old
-            if at_old.any():
-                np.add.at(self.up_deg, s[at_old], -1)
-                np.add.at(self.down[:, old], s[at_old], 1)
-            # Neighbours at >= new all leave v's down[old] class …
-            not_below = lw >= new
-            if not_below.any():
-                np.add.at(self.down[:, old], f[not_below], -1)
-            # … landing in up_deg (== new) or down[new] (> new).
-            at_new = lw == new
-            if at_new.any():
-                t = f[at_new]
-                np.add.at(self.up_deg, t, 1)
-                requeue = np.unique(t)
-            above = lw > new
-            if above.any():
-                np.add.at(self.down[:, new], f[above], 1)
+            if np.count_nonzero(at_old):
+                t = s[at_old]
+                np.add.at(self.up_deg, t, -1)
+                np.add.at(self.down[:, old], t, 1)
+            # Neighbours above old (all at >= new) leave v's down[old]
+            # class …
+            above_old = lw > old
+            if np.count_nonzero(above_old):
+                fa = f[above_old]
+                np.add.at(self.down[:, old], fa, -1)
+                # … landing in up_deg (== new) or down[new] (> new).
+                at_new = lw[above_old] == new
+                t = fa[at_new]
+                if t.size:
+                    np.add.at(self.up_deg, t, 1)
+                    requeue = unique(t)
+                t = fa[~at_new]
+                if t.size:
+                    np.add.at(self.down[:, new], t, 1)
         self._level_arr[movers] = new
         level = self.level
         for v in movers.tolist():
@@ -927,15 +1000,18 @@ class FrontierLevelStore(ColumnarLevelStore):
             lw_old = self._level_arr[flat]
             old_src = self._level_arr[src]
             lw_new = np.where(w_moves, lstar, lw_old)
+            down = self._down_flat()
+            width = self._width
             # v's ledger: remove w's old class, add its new class.
+            row = src * width
             old_up = lw_old >= old_src
             np.add.at(self.up_deg, src[old_up], -1)
             dn = ~old_up
-            np.add.at(self.down, (src[dn], lw_old[dn]), -1)
+            np.add.at(down, row[dn] + lw_old[dn], -1)
             new_up = lw_new >= lstar
             np.add.at(self.up_deg, src[new_up], 1)
             dn = ~new_up
-            np.add.at(self.down, (src[dn], lw_new[dn]), 1)
+            np.add.at(down, row[dn] + lw_new[dn], 1)
             # Non-mover w's view of v (mover w rows are covered by their own
             # symmetric row).
             nm = ~w_moves
@@ -944,7 +1020,7 @@ class FrontierLevelStore(ColumnarLevelStore):
             lw = lw_old[nm]
             was_up = ov >= lw
             np.add.at(self.up_deg, t[was_up], -1)
-            np.add.at(self.down, (t[~was_up], ov[~was_up]), -1)
+            np.add.at(down, t[~was_up] * width + ov[~was_up], -1)
             is_up = lstar >= lw
             np.add.at(self.up_deg, t[is_up], 1)
             np.add.at(self.down[:, lstar], t[~is_up], 1)

@@ -189,7 +189,7 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
             f"checkpoint {os.fspath(path)!r} has {len(levels_arr)} levels "
             f"for {n} vertices"
         )
-    edges = [tuple(int(x) for x in row) for row in edges_arr]
+    edges = list(map(tuple, edges_arr.tolist()))
     levels = levels_arr.astype(int).tolist()
     params = LDSParams(n, delta=delta, lam=lam, levels_per_group=group_height)
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique
+
 
 class VectorizedUnionFind:
     """Array union-find over ``0..n-1`` with batch ``find`` / ``union``.
@@ -110,4 +112,4 @@ class VectorizedUnionFind:
         if n == 0:
             return 0
         roots = self.find_many(np.arange(n, dtype=np.int64))
-        return int(np.unique(roots).size)
+        return int(unique(roots).size)

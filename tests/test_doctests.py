@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro.arrays
 import repro.core.cplds
 import repro.exact.dynamic
 import repro.exact.hindex
@@ -19,6 +20,7 @@ import repro.unionfind.sequential
 import repro.unionfind.variants
 
 MODULES = [
+    repro.arrays,
     repro.core.cplds,
     repro.exact.dynamic,
     repro.exact.hindex,

@@ -6,12 +6,17 @@ tests that poke at the object backend's ``down`` dicts directly stay
 object-only.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import engines
+from repro.errors import InvariantViolation
 from repro.graph import DynamicGraph
 from repro.lds.bookkeeping import LevelState
+from repro.lds.invariants import check_all_invariants
 from repro.lds.params import LDSParams
 from repro.lds.store import BACKENDS, make_store
 
@@ -340,3 +345,177 @@ class TestProperties:
                 [state.satisfies_invariant2(v) for v in range(n)],
             )
         assert results["object"] == results["columnar"]
+
+
+# ----------------------------------------------------------------------
+# Whole-array checkers vs a brute-force scalar scan
+# ----------------------------------------------------------------------
+def _brute_force_first_fault(state):
+    """``(exception type, vertex)`` of the first fault a vertex-by-vertex
+    scan finds — mirror, then counters, then Invariant 1, then 2 — or
+    ``None`` when the state is sound."""
+    n = state.graph.num_vertices
+    levels = [int(x) for x in state.level]
+    mirror = getattr(state, "_level_arr", None)
+    if mirror is not None:
+        for v in range(n):
+            if int(mirror[v]) != levels[v]:
+                return AssertionError, v
+    for v in range(n):
+        nbr = [levels[w] for w in state.graph.neighbors_unsafe(v)]
+        up = sum(1 for lw in nbr if lw >= levels[v])
+        below = {}
+        for lw in nbr:
+            if lw < levels[v]:
+                below[lw] = below.get(lw, 0) + 1
+        if up != int(state.up_deg[v]):
+            return AssertionError, v
+        if isinstance(state.down[v], dict):
+            row = dict(state.down[v])
+        else:
+            row = {lvl: int(c) for lvl, c in enumerate(state.down[v].tolist()) if c}
+        if row != below:
+            return AssertionError, v
+    params = state.params
+    for v in range(n):
+        lvl = levels[v]
+        up = sum(1 for w in state.graph.neighbors_unsafe(v) if levels[w] >= lvl)
+        if lvl < params.max_level and up > params.upper_threshold(lvl):
+            return InvariantViolation, v
+    for v in range(n):
+        lvl = levels[v]
+        cnt = sum(1 for w in state.graph.neighbors_unsafe(v) if levels[w] >= lvl - 1)
+        if lvl != 0 and cnt < params.lower_threshold(lvl):
+            return InvariantViolation, v
+    return None
+
+
+def _checker_fault(state):
+    """``(exception type, vertex)`` raised by :func:`check_all_invariants`."""
+    try:
+        check_all_invariants(state)
+    except InvariantViolation as exc:
+        return InvariantViolation, exc.vertex
+    except AssertionError as exc:
+        m = re.search(r"\[(\d+)\]|vertex (\d+)", str(exc))
+        assert m, str(exc)
+        return AssertionError, int(m.group(1) or m.group(2))
+    return None
+
+
+# A 12-clique and a 7-clique joined by one edge, plus a sparse tail: the
+# cliques settle at different levels past the initial down-matrix width of
+# 8 columns, so the joining edge is counted in a column >= 8.
+_GRAPH = (
+    [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    + [(u, v) for u in range(12, 19) for v in range(u + 1, 19)]
+    + [(0, 12)] + [(v, v + 1) for v in range(18, 23)]
+)
+
+
+def _sound_state(backend):
+    impl = engines.create(
+        "plds", 24, backend=backend, params=LDSParams(24, levels_per_group=2)
+    )
+    impl.insert_batch(_GRAPH)
+    return impl.state
+
+
+def _high_down_cell(state):
+    """The first ``(v, level)`` counter cell at a level >= 8."""
+    for v in range(state.graph.num_vertices):
+        lw = [int(state.level[w]) for w in state.graph.neighbors_unsafe(v)]
+        high = [l for l in lw if 8 <= l < int(state.level[v])]
+        if high:
+            return v, min(high)
+    raise AssertionError("no counter cell at a level >= 8")
+
+
+def _bump_up_deg(state):
+    state.up_deg[6] += 1
+
+
+def _bump_high_down_cell(state):
+    v, col = _high_down_cell(state)
+    if isinstance(state.down[v], dict):
+        state.down[v][col] += 1
+    else:
+        assert state.down.shape[1] > col
+        state.down[v, col] += 1
+
+
+def _move_behind_counters(state):
+    state.level[7] = 3
+    if hasattr(state, "_level_arr"):
+        state._level_arr[7] = 3
+
+
+def _break_mirror(state):
+    state._level_arr[11] = 2
+
+
+def _unsupported_levels(state):
+    # Legal moves (counters stay consistent) that break Invariant 2 at two
+    # vertices: the lower-numbered one must be named.
+    state.set_level(22, 12)
+    state.set_level(20, 12)
+
+
+def _overfull_levels(state):
+    # Two clique vertices dropped to level 0 break Invariant 1.
+    state.set_level(5, 0)
+    state.set_level(3, 0)
+
+
+class TestWholeArrayCheckers:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_bump_up_deg, _bump_high_down_cell, _move_behind_counters,
+         _break_mirror, _unsupported_levels, _overfull_levels],
+    )
+    def test_checker_names_the_brute_force_vertex(self, backend, corrupt):
+        state = _sound_state(backend)
+        assert _brute_force_first_fault(state) is None
+        check_all_invariants(state)
+        if corrupt is _break_mirror and backend == "object":
+            pytest.skip("the object store keeps no level mirror")
+        corrupt(state)
+        expected = _brute_force_first_fault(state)
+        assert expected is not None
+        assert _checker_fault(state) == expected
+
+    def test_neighbour_level_outside_down_matrix_is_a_mismatch(self):
+        # A level written behind the store's back past the matrix width:
+        # the recomputed count has no cell to match.
+        for be in ("columnar", "columnar-frontier"):
+            state = _sound_state(be)
+            width = state.down.shape[1]
+            state.level[20] = width + 1
+            state._level_arr[20] = width + 1
+            with pytest.raises(AssertionError):
+                state.assert_counters_consistent()
+            assert _checker_fault(state) == _brute_force_first_fault(state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        level_scripts(),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=15),
+        st.sampled_from([-1, 1]),
+    )
+    def test_random_corruption_matches_brute_force(self, script, v, col, delta):
+        n, edges, moves = script
+        v %= n
+        for be in BACKENDS:
+            _, state = make_state(n, edges, levels_per_group=4, backend=be)
+            for u, lvl in moves:
+                state.set_level(u, min(lvl, state.params.max_level))
+            if isinstance(state.down[v], dict):
+                state.down[v][col] = state.down[v].get(col, 0) + delta
+                if state.down[v][col] == 0:
+                    del state.down[v][col]
+            elif col < state.down.shape[1]:
+                state.down[v, col] += delta
+            else:
+                state.up_deg[v] += delta
+            assert _checker_fault(state) == _brute_force_first_fault(state), be
