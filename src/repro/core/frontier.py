@@ -78,14 +78,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: the array kernels win surprisingly early).
 _SMALL_FRONTIER = 4
 
-#: Insertion rounds with at least this many gathered rows record each
-#: mover–mover dependency pair once instead of twice: on preload-sized
-#: rounds that halves the pair buffer batch_end sorts, while on small rounds
-#: the extra mask costs more than the duplicates it drops.  The pair *set*
-#: is the same either way (batch_end dedups it), so this is only a speed
-#: knob.
-_HALVE_MIN_ROWS = 256
-
 
 def _hook_mode(hooks: UpdateHooks) -> str:
     """``noop`` / ``bulk`` / ``scalar`` — see the module docstring."""
@@ -371,9 +363,9 @@ class FrontierMarkingHooks(UpdateHooks):
             trigger = (cp.plds.state._level_arr[flat] >= lvl) & (
                 marked[flat] | w_moves
             )
-            if flat.size >= _HALVE_MIN_ROWS:
-                # A mover–mover edge appears as two rows; keep one.
-                trigger &= ~w_moves | (src < flat)
+            # A mover–mover edge appears as two rows; keep one.  batch_end
+            # dedups pairs as unordered keys, so the union input is the same.
+            trigger &= ~w_moves | (src < flat)
             if np.count_nonzero(trigger):
                 self._pair_chunks.append((src[trigger], flat[trigger]))
         newly = movers[~marked[movers]]

@@ -7,8 +7,10 @@ bookkeeping at once.
 Both checks are whole-array passes over the graph's own CSR snapshot
 (:func:`~repro.graph.csr.csr_view`) and the live levels: one ``bincount``
 per invariant, compared against per-level threshold arrays built from the
-parameters.  The lowest-numbered violating vertex is then re-evaluated with
-the scalar threshold, so the raised :class:`InvariantViolation` (message and
+parameters (:meth:`~repro.lds.params.LDSParams.threshold_arrays`);
+:func:`check_all_invariants` builds the neighbour-level arrays once for
+both.  The lowest-numbered violating vertex is then re-evaluated with the
+scalar threshold, so the raised :class:`InvariantViolation` (message and
 ``vertex``) is the one a vertex-by-vertex scan would raise first.
 """
 
@@ -19,6 +21,7 @@ import numpy as np
 from repro.errors import InvariantViolation
 from repro.graph.csr import csr_view
 from repro.lds.bookkeeping import LevelState
+from repro.lds.params import LDSParams
 
 
 def _neighbour_levels(state: LevelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -32,14 +35,28 @@ def _neighbour_levels(state: LevelState) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def check_invariant1(state: LevelState) -> None:
     """Degree upper bound for every vertex, recomputed from the graph."""
-    params = state.params
-    level, src, lw = _neighbour_levels(state)
+    _check_invariant1(state.params, *_neighbour_levels(state))
+
+
+def check_invariant2(state: LevelState) -> None:
+    """Degree lower bound for every vertex, recomputed from the graph."""
+    _check_invariant2(state.params, *_neighbour_levels(state))
+
+
+def check_all_invariants(state: LevelState) -> None:
+    """Both invariants plus counter consistency, in one call."""
+    state.assert_counters_consistent()
+    nbr = _neighbour_levels(state)
+    _check_invariant1(state.params, *nbr)
+    _check_invariant2(state.params, *nbr)
+
+
+def _check_invariant1(
+    params: LDSParams, level: np.ndarray, src: np.ndarray, lw: np.ndarray
+) -> None:
     n = level.size
     up = np.bincount(src[lw >= level[src]], minlength=n)
-    upper = np.array(
-        [params.upper_threshold(l) for l in range(params.num_levels)],
-        dtype=np.float64,
-    )
+    upper, _ = params.threshold_arrays()
     checked = level < params.max_level
     # Levels outside the table (only negative ones get here) go to the
     # scalar threshold below, which rejects them as the scan did.
@@ -57,17 +74,14 @@ def check_invariant1(state: LevelState) -> None:
             )
 
 
-def check_invariant2(state: LevelState) -> None:
-    """Degree lower bound for every vertex, recomputed from the graph."""
-    params = state.params
-    level, src, lw = _neighbour_levels(state)
+def _check_invariant2(
+    params: LDSParams, level: np.ndarray, src: np.ndarray, lw: np.ndarray
+) -> None:
     n = level.size
     at_or_above = np.bincount(src[lw >= level[src] - 1], minlength=n)
     # lower_threshold is defined on 0..num_levels (0.0 at and below 0).
     top = params.num_levels
-    lower = np.array(
-        [params.lower_threshold(l) for l in range(top + 1)], dtype=np.float64
-    )
+    _, lower = params.threshold_arrays()
     checked = level != 0
     outside = level > top
     bound = lower[np.clip(level, 0, top)]
@@ -81,10 +95,3 @@ def check_invariant2(state: LevelState) -> None:
                 f"neighbours at >= {lvl - 1}: {k} < bound {b:.3f}",
                 vertex=v,
             )
-
-
-def check_all_invariants(state: LevelState) -> None:
-    """Both invariants plus counter consistency, in one call."""
-    state.assert_counters_consistent()
-    check_invariant1(state)
-    check_invariant2(state)

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LDSParams:
@@ -126,6 +128,21 @@ class LDSParams:
             return 0.0  # level 0 trivially satisfies Invariant 2
         i = self.group_of_level(level - 1)
         return (1.0 + self.delta) ** i
+
+    def threshold_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both thresholds as per-level float64 arrays ``(upper, lower)``.
+
+        ``upper[l] == upper_threshold(l)`` for every level ``l``, and
+        ``lower[l] == lower_threshold(l)`` for ``0 <= l <= num_levels`` (one
+        entry longer: ``lower_threshold`` is also defined one level above the
+        top).  Each group's value is the same float expression as the scalar
+        methods, so the arrays match them exactly.
+        """
+        base = 1.0 + self.delta
+        group = np.array([base**i for i in range(self.num_groups)], dtype=np.float64)
+        upper = np.repeat((2.0 + 3.0 / self.lam) * group, self.group_height)
+        lower = np.concatenate(([0.0], np.repeat(group, self.group_height)))
+        return upper, lower
 
     # ------------------------------------------------------------------
     # Coreness estimate (Definition 3.1)

@@ -161,14 +161,7 @@ class ColumnarLevelStore:
         self._width = min(num_levels, 8)
         self.down = np.zeros((n, self._width), dtype=np.int64)
         self._stamp = np.zeros(n, dtype=bool)  # scratch for bulk kernels
-        self._upper = np.array(
-            [params.upper_threshold(l) for l in range(num_levels)],
-            dtype=np.float64,
-        )
-        self._lower = np.array(
-            [params.lower_threshold(l) for l in range(num_levels)],
-            dtype=np.float64,
-        )
+        self._upper, self._lower = params.threshold_arrays()
         self._lower_list = self._lower.tolist()
         # All vertices start at level 0: every pre-existing neighbour is up.
         for v in range(n):
@@ -215,6 +208,15 @@ class ColumnarLevelStore:
         NumPy's multi-index path, 2.4–4× slower from ~1k indices up.
         Re-take the view after :meth:`_ensure_width`, which may reallocate
         ``down``.
+
+        Unlike the 2-D forms, a flat index does not bounds-check its column:
+        ``l >= width`` would land in row ``v + 1`` instead of raising.  Every
+        flat scatter writes a "below" cell, whose column is a neighbour level
+        under the row vertex's own level, and every level is published only
+        after :meth:`_ensure_width` covered it, so ``l < level(v) < width``.
+        A level corrupted past ``width`` is therefore not caught here, but by
+        :meth:`assert_counters_consistent` (level mirror check, and any
+        neighbour level ``>= width`` counts as a mismatch).
         """
         flat = self.down.ravel()
         # Every assignment to `down` allocates a fresh C-contiguous matrix,
