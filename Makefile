@@ -4,7 +4,7 @@ PYTHON ?= python
 
 # Canonical checked-in benchmark artifact (must match
 # repro.harness.bench_json.BENCH_ARTIFACT, the CLI default).
-BENCH_ARTIFACT ?= BENCH_pr9.json
+BENCH_ARTIFACT ?= BENCH_pr16.json
 
 # Every target runs against the in-tree sources, no install required.
 export PYTHONPATH = src
@@ -33,11 +33,11 @@ chaos:
 svcbench-determinism:
 	$(PYTHON) -m pytest svcbench -q
 
-# Full scenario catalog on every store backend (what nightly CI runs).
+# Full scenario catalog on both store backends (what nightly CI runs).
 scenarios:
 	$(PYTHON) -m repro.workloads.scenarios --catalog --backend all --strict --table -
 
-# The fast CI subset: 3 specs, truncated, every backend, strict gating.
+# The fast CI subset: 3 specs, truncated, both backends, strict gating.
 scenarios-smoke:
 	$(PYTHON) -m repro.workloads.scenarios --catalog \
 		--only fig5-batch-updates,staleness-slo,bipartite-churn \

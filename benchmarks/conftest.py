@@ -35,7 +35,7 @@ def config() -> E.ExperimentConfig:
     return _select_config()
 
 
-@pytest.fixture(scope="session", params=("object", "columnar", "columnar-frontier"))
+@pytest.fixture(scope="session", params=("object", "columnar-frontier"))
 def backend(request) -> str:
     """Level-store backend axis (Fig 3/5/7 run once per backend)."""
     return request.param

@@ -1,7 +1,7 @@
 """Array primitives shared by the vectorized kernels.
 
 :func:`unique` replaces ``np.unique`` on the hot paths of the frontier
-engine, the columnar level stores and the vectorized union-find.  NumPy 2.4
+engine, its level store and the vectorized union-find.  NumPy 2.4
 routes a plain ``np.unique`` call through a hash table (``_unique_hash``);
 on the int64 vertex and pair-key arrays these kernels dedup, that measured
 9–48× slower than a sort followed by an adjacent-difference mask (2.7M

@@ -179,9 +179,8 @@ class CPLDS:
         which the paper's model excludes by making update processes
         synchronous).
     backend:
-        Level-store backend name (``"object"``, ``"columnar"`` or
-        ``"columnar-frontier"``); see :mod:`repro.lds.store`.  The
-        frontier backend is constructed via
+        Level-store backend name (``"object"`` or ``"columnar-frontier"``);
+        see :mod:`repro.lds.store`.  The frontier backend is constructed via
         :class:`repro.core.frontier.FrontierCPLDS` (the engine registry
         routes there automatically).
 

@@ -56,7 +56,7 @@ from repro.core.cplds import (
 )
 from repro.arrays import unique
 from repro.errors import ReproError
-from repro.lds.plds import PLDS, Phase, UpdateHooks, _noop
+from repro.lds.plds import PLDS, Phase, UpdateHooks
 from repro.obs import REGISTRY as _OBS
 from repro.obs.flightrec import RECORDER as _REC, EventType as _EV
 from repro.obs.staleness import (
@@ -86,6 +86,11 @@ def _hook_mode(hooks: UpdateHooks) -> str:
     if getattr(hooks, "supports_bulk_moves", False):
         return "bulk"
     return "scalar"
+
+
+def _noop(i: int) -> None:
+    """Placeholder round item for vectorised decisions — keeps executor
+    round and work accounting identical across storage backends."""
 
 
 def _noop_round(executor: Executor, size: int) -> None:

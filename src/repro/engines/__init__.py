@@ -4,12 +4,14 @@ Everything above the data-structure layer — runtime services, the
 experiment harness, workload replay, benchmarks — builds engines through
 :func:`create` instead of naming concrete classes, so both the engine
 *algorithm* (``"cplds"``, ``"nonsync"``, ...) and the level-store
-*backend* (``"object"``, ``"columnar"``, ``"columnar-frontier"``) are
-late-bound configuration — the ``cplds`` factory routes the frontier
-backend to the vectorized :class:`repro.core.frontier.FrontierCPLDS`:
+*backend* (``"object"``, ``"columnar-frontier"``) are late-bound
+configuration — the ``cplds`` factory routes the frontier backend to the
+vectorized :class:`repro.core.frontier.FrontierCPLDS`:
 
 >>> from repro import engines
->>> eng = engines.create("cplds", 100, backend="columnar")
+>>> eng = engines.create("cplds", 100, backend="columnar-frontier")
+>>> type(eng).__name__
+'FrontierCPLDS'
 >>> eng.insert_batch([(0, 1), (1, 2), (0, 2)])
 3
 >>> sorted(engines.available())[:2]

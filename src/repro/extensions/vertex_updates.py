@@ -30,7 +30,7 @@ class VertexUpdatableKCore:
         Optional :class:`LDSParams` (sized for ``capacity``).
     backend:
         Level-store backend for the underlying engine (``"object"`` or
-        ``"columnar"``).
+        ``"columnar-frontier"``).
 
     Examples
     --------

@@ -21,7 +21,10 @@ containers.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import EdgeStateError, SelfLoopError, VertexOutOfRange
 from repro.types import Edge, EdgeBatch, Vertex, canonical_edge, canonicalize_batch
@@ -119,6 +122,18 @@ class DynamicGraph:
             for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as an ``(m, 2)`` int64 array, rows in :meth:`edges`
+        order (one pass over the adjacency sets, no per-edge Python work)."""
+        adj = self._adj
+        degrees = np.fromiter(map(len, adj), dtype=np.int64, count=self._n)
+        targets = np.fromiter(
+            chain.from_iterable(adj), dtype=np.int64, count=2 * self._m
+        )
+        sources = np.repeat(np.arange(self._n, dtype=np.int64), degrees)
+        keep = sources < targets
+        return np.stack([sources[keep], targets[keep]], axis=1)
 
     def copy(self) -> "DynamicGraph":
         """An independent deep copy of the current graph state."""

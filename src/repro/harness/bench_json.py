@@ -2,18 +2,15 @@
 
 Runs the Fig 3 (read latency), Fig 5 (batch update time) and Fig 7
 (virtual-time throughput) drivers once per backend and writes one JSON
-document with per-figure CPLDS medians plus the headline ratios the
-backend refactors are judged on:
+document with per-figure CPLDS medians plus two single-trial headline
+ratios of the frontier engine against the object reference:
 
-* ``fig5_update_speedup`` — object median batch time / columnar median
-  batch time (> 1 means the columnar backend updates faster);
 * ``fig5_frontier_speedup`` — object median batch time /
-  columnar-frontier median batch time (the vectorized frontier engine's
-  acceptance ratio; target ≥ 3);
-* ``fig3_latency_ratio`` — columnar median read latency / object median
-  (≈ 1 means no read-side regression);
-* ``fig3_frontier_latency_ratio`` — the same ratio for the frontier
-  engine's union-find-walking readers.
+  columnar-frontier median batch time (> 1 means the frontier engine
+  updates faster);
+* ``fig3_frontier_latency_ratio`` — columnar-frontier median read latency
+  / object median (≈ 1 means no read-side regression for its
+  union-find-walking readers).
 
 The document also embeds a ``metrics`` section captured from the
 observability registry (:mod:`repro.obs`): per backend, the deterministic
@@ -59,7 +56,7 @@ from repro.lds.store import BACKENDS
 #: (:mod:`repro.harness.bench_gate`).  Bump the name when a PR
 #: intentionally reshapes the document, and update the Makefile/CI docs
 #: references along with it.
-BENCH_ARTIFACT = "BENCH_pr9.json"
+BENCH_ARTIFACT = "BENCH_pr16.json"
 
 #: Deterministic work counters compared exactly by the CI bench-gate.
 #: Everything here is a pure function of the (seeded) update stream — no
@@ -253,7 +250,6 @@ def collect(config: E.ExperimentConfig) -> dict:
             obs.disable()
         obs.reset()
     obj = per_backend["object"]
-    col = per_backend["columnar"]
     frontier = per_backend["columnar-frontier"]
     epoch_ratios = [
         per_backend[b]["fig_epoch"]["throughput_ratio_2x_over_1x"]
@@ -268,17 +264,9 @@ def collect(config: E.ExperimentConfig) -> dict:
         },
         "backends": per_backend,
         "metrics": metrics,
-        "fig5_update_speedup": (
-            obj["fig5"]["cplds_median_batch_time_s"]
-            / col["fig5"]["cplds_median_batch_time_s"]
-        ),
         "fig5_frontier_speedup": (
             obj["fig5"]["cplds_median_batch_time_s"]
             / frontier["fig5"]["cplds_median_batch_time_s"]
-        ),
-        "fig3_latency_ratio": (
-            col["fig3"]["cplds_median_read_latency_s"]
-            / obj["fig3"]["cplds_median_read_latency_s"]
         ),
         "fig3_frontier_latency_ratio": (
             frontier["fig3"]["cplds_median_read_latency_s"]
@@ -317,9 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     epoch_ratio = doc["fig3_epoch_read_throughput_ratio"]
     print(
         f"wrote {args.output}: "
-        f"fig5_update_speedup={doc['fig5_update_speedup']:.2f}x "
         f"fig5_frontier_speedup={doc['fig5_frontier_speedup']:.2f}x "
-        f"fig3_latency_ratio={doc['fig3_latency_ratio']:.2f}x "
         f"fig3_frontier_latency_ratio={doc['fig3_frontier_latency_ratio']:.2f}x "
         f"fig3_epoch_read_throughput_ratio="
         f"{epoch_ratio if epoch_ratio is None else f'{epoch_ratio:.2f}x'}"

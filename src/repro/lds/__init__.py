@@ -4,8 +4,8 @@
   invariant thresholds shared by every structure.
 * :mod:`repro.lds.bookkeeping` — per-vertex level state and degree counters
   (the ``"object"`` level-store backend).
-* :mod:`repro.lds.store` — the pluggable :class:`LevelStore` seam and the
-  vectorised ``"columnar"`` backend.
+* :mod:`repro.lds.store` — the :class:`LevelStore` seam and the flat-array
+  ``"columnar-frontier"`` backend (:class:`FrontierLevelStore`).
 * :mod:`repro.lds.lds` — the sequential LDS of Bhattacharya et al. /
   Henzinger et al. (one-level-at-a-time rebalancing after each edge update).
 * :mod:`repro.lds.plds` — the parallel batch-dynamic PLDS of Liu et al.
@@ -21,7 +21,7 @@ from repro.lds.plds import PLDS
 from repro.lds.coreness import coreness_estimate
 from repro.lds.store import (
     BACKENDS,
-    ColumnarLevelStore,
+    FrontierLevelStore,
     LevelStore,
     make_store,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "PLDS",
     "coreness_estimate",
     "BACKENDS",
-    "ColumnarLevelStore",
+    "FrontierLevelStore",
     "LevelStore",
     "ObjectLevelStore",
     "make_store",

@@ -36,11 +36,11 @@ class ObjectLevelStore:
 
     This is the ``"object"`` backend of the :class:`~repro.lds.store.LevelStore`
     seam — the original plain-Python representation, kept as the semantic
-    reference that the columnar backend is differentially tested against.
+    reference that the ``"columnar-frontier"`` array store is
+    differentially tested against.
     """
 
     backend = "object"
-    supports_bulk = False
 
     __slots__ = ("params", "graph", "level", "up_deg", "down")
 

@@ -36,8 +36,8 @@ class LDS:
         Optional existing :class:`DynamicGraph` to adopt; it must be empty
         (bring edges in through :meth:`insert_edge` so levels stay correct).
     backend:
-        Level-store backend name (``"object"`` or ``"columnar"``); see
-        :mod:`repro.lds.store`.
+        Level-store backend name (``"object"`` or ``"columnar-frontier"``);
+        see :mod:`repro.lds.store`.
 
     Examples
     --------

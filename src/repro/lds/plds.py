@@ -49,11 +49,6 @@ _ROUNDS_HIST = _OBS.histogram("plds_rounds_per_batch", COUNT_BUCKETS)
 _MOVES_HIST = _OBS.histogram("plds_moves_per_batch", COUNT_BUCKETS)
 
 
-def _noop(i: int) -> None:
-    """Placeholder round item for bulk decisions — keeps executor round and
-    work accounting identical across storage backends."""
-
-
 class UpdateHooks:
     """No-op hook base; override any subset of the callbacks.
 
@@ -95,8 +90,8 @@ class PLDS:
     hooks:
         :class:`UpdateHooks` for batch instrumentation (CPLDS marking).
     backend:
-        Level-store backend name (``"object"``, ``"columnar"`` or
-        ``"columnar-frontier"``); see :mod:`repro.lds.store`.
+        Level-store backend name (``"object"`` or ``"columnar-frontier"``);
+        see :mod:`repro.lds.store`.
 
     Examples
     --------
@@ -255,31 +250,17 @@ class PLDS:
                     # shallow levels_per_group overrides; see LDSParams).
                     continue
                 new_level = lvl + 1
-                if state.supports_bulk:
-                    # Hooks fire per mover in the same order as the scalar
-                    # path; deferring the level writes to one scatter pass
-                    # cannot change any hook's trigger scan (same-round
-                    # movers satisfy `level >= lvl` at either ℓ or ℓ+1).
-                    for v in movers:
-                        self.hooks.before_move(v, lvl, new_level, "insert")
-                    requeue = state.bulk_raise_level(movers, lvl)
-                    self._count_moves(len(movers))
-                    for v in movers:
-                        enqueue(v, new_level)
-                    for w in requeue:
-                        enqueue(w, new_level)
-                else:
-                    for v in movers:
-                        self.hooks.before_move(v, lvl, new_level, "insert")
-                        state.set_level(v, new_level)
-                    self._count_moves(len(movers))
-                    # Movers re-check at the next level; their new same-level
-                    # neighbours gained an up-neighbour and must re-check too.
-                    for v in movers:
-                        enqueue(v, new_level)
-                        for w in self.graph.neighbors_unsafe(v):
-                            if state.level[w] == new_level:
-                                enqueue(w, new_level)
+                for v in movers:
+                    self.hooks.before_move(v, lvl, new_level, "insert")
+                    state.set_level(v, new_level)
+                self._count_moves(len(movers))
+                # Movers re-check at the next level; their new same-level
+                # neighbours gained an up-neighbour and must re-check too.
+                for v in movers:
+                    enqueue(v, new_level)
+                    for w in self.graph.neighbors_unsafe(v):
+                        if state.level[w] == new_level:
+                            enqueue(w, new_level)
                 self.hooks.round_boundary()
         finally:
             self.hooks.batch_end()
@@ -289,11 +270,6 @@ class PLDS:
         if not cands:
             return []
         state = self.state
-        if state.supports_bulk:
-            # One vectorised kernel decides the whole round; the no-op round
-            # keeps executor round/work accounting backend-independent.
-            self.executor.run_round(_noop, range(len(cands)))
-            return state.bulk_inv1_violators(cands)
         flags = [False] * len(cands)
 
         def check(i: int) -> None:
@@ -365,12 +341,6 @@ class PLDS:
             return []
         state = self.state
         cands = list(outstanding)
-        if state.supports_bulk:
-            self.executor.run_round(_noop, range(len(cands)))
-            pairs = state.bulk_desire_levels(cands)
-            outstanding.clear()
-            outstanding.update(v for v, _ in pairs)
-            return pairs
         desires: list[int] = [-1] * len(cands)
 
         def check(i: int) -> None:

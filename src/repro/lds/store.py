@@ -1,40 +1,37 @@
-"""Pluggable level-store backends: the storage seam under LDS/PLDS/CPLDS.
+"""Level-store backends: the storage seam under LDS/PLDS/CPLDS.
 
 Every level structure in this library maintains the same three per-vertex
 quantities — the live ``level``, the up-degree ``up_deg`` and the
 below-level counter map ``down`` — but nothing about the *algorithms*
 (rebalance sweeps, marking, the read sandwich) depends on how those
-quantities are laid out in memory.  This module makes the layout a choice:
+quantities are laid out in memory.  Two layouts implement the contract:
 
-* :class:`~repro.lds.bookkeeping.ObjectLevelStore` — the original plain
-  Python lists + dict-of-counts representation.  Kept as the semantic
-  reference; every other backend is differentially tested against it.
-* :class:`ColumnarLevelStore` — GBBS-style flat state: ``level`` and
-  ``up_deg`` are contiguous numpy ``int64`` arrays and ``down`` is a dense
+* :class:`~repro.lds.bookkeeping.ObjectLevelStore` (``"object"``) — plain
+  Python lists + dict-of-counts.  Kept as the semantic reference; the
+  array store is differentially tested against it.
+* :class:`FrontierLevelStore` (``"columnar-frontier"``) — GBBS-style flat
+  state driven by whole-frontier rounds.  ``level`` is mirrored into an
+  ``int64`` array, ``up_deg`` is an ``int64`` array and ``down`` is a dense
   ``(n × width)`` counter matrix (``width`` grows lazily with the highest
-  occupied level, so it stays "num_groups-ish" in practice).  Invariant
-  checks and desire-level scans over whole candidate sets become single
-  vectorised kernels, and snapshots are O(1)-ish array copies.
-* :class:`FrontierLevelStore` — the columnar layout plus the whole-frontier
-  machinery behind the ``columnar-frontier`` engine: an incrementally
-  maintained flat edge list frozen into a CSR view once per phase
-  (:meth:`FrontierLevelStore.sync_csr`), neighbour gathers as
-  ``offsets``/``targets`` slices, and array-in/array-out round kernels
+  occupied level).  An incrementally maintained flat edge list is frozen
+  into a CSR view once per phase (:meth:`FrontierLevelStore.sync_csr`);
+  neighbour gathers are ``offsets``/``targets`` slices, and the
+  array-in/array-out round kernels
   (:meth:`~FrontierLevelStore.bulk_inv1_violators_arr`,
   :meth:`~FrontierLevelStore.bulk_desire_levels_arr`,
   :meth:`~FrontierLevelStore.bulk_raise_level_rows`,
-  :meth:`~FrontierLevelStore.bulk_move_to_level_rows`) consumed by the
+  :meth:`~FrontierLevelStore.bulk_move_to_level_rows`) are consumed by the
   frontier round driver in :mod:`repro.core.frontier`.
 
-All backends expose the same surface (see :class:`LevelStore`); pick one
-with :func:`make_store` or — at the system level — via
+Both expose the same surface (see :class:`LevelStore`); pick one with
+:func:`make_store` or — at the system level — via
 ``repro.engines.create(name, backend=...)``.
 
 Concurrency note: both layouts expose ``level`` as a plain Python list —
 element reads are one C-level operation under the CPython GIL, which is the
 single-word-read atomicity the paper's read protocol assumes (and a list
 read returns an unboxed ``int``, keeping the reader hot path allocation
-free).  The columnar store mirrors the list into a private ``int64`` array
+free).  The array store mirrors the list into a private ``int64`` array
 for its vectorised kernels; the list is always written last, so it is the
 reader-visible word.  The counter structures remain writer-private.
 """
@@ -54,7 +51,7 @@ from repro.obs import REGISTRY as _OBS
 from repro.types import Vertex
 
 #: Registered storage backends, in preference order.
-BACKENDS = ("object", "columnar", "columnar-frontier")
+BACKENDS = ("object", "columnar-frontier")
 
 # Cached kernel-call counters: one label per vectorised kernel, plus a rows
 # counter so a snapshot shows both call counts and work volume.
@@ -74,18 +71,13 @@ class LevelStore(Protocol):
     Attributes
     ----------
     backend:
-        The backend's registry name (``"object"`` / ``"columnar"``).
-    supports_bulk:
-        True when the store provides vectorised whole-round decisions
-        (:meth:`bulk_inv1_violators` / :meth:`bulk_desire_levels`); the PLDS
-        uses them in place of per-vertex executor work when available.
+        The backend's registry name (one of :data:`BACKENDS`).
     level:
         Indexable per-vertex live levels; element reads must be GIL-atomic
         (this is what concurrent readers touch).
     """
 
     backend: str
-    supports_bulk: bool
     params: LDSParams
     graph: DynamicGraph
 
@@ -118,24 +110,43 @@ class LevelStore(Protocol):
     def assert_counters_consistent(self) -> None: ...
 
 
-class ColumnarLevelStore:
-    """Flat-array level state with vectorised round decisions.
+class FrontierLevelStore:
+    """Flat-array level state, a per-phase CSR view and whole-frontier
+    round kernels: the backend behind the ``columnar-frontier`` engine.
 
-    ``level`` / ``up_deg`` are flat ``int64`` arrays; ``down`` is a dense
-    ``(n, width)`` counter matrix whose ``width`` lazily doubles to cover
-    the highest level any vertex has occupied (bounded by
-    ``params.num_levels``).  The per-level invariant thresholds are
-    precomputed once into arrays, so a whole decision round — "which of
-    these candidates violate Invariant 1/2" — is a handful of fancy-indexed
-    numpy expressions instead of O(candidates) Python calls.
+    ``up_deg`` is a flat ``int64`` array and ``down`` a dense ``(n, width)``
+    counter matrix whose ``width`` lazily doubles to cover the highest level
+    any vertex has occupied (bounded by ``params.num_levels``); the
+    per-level invariant thresholds are precomputed once into arrays.
+
+    The store also keeps a flat edge list (``_eu``/``_ev`` slot arrays with
+    an alive mask, appended/killed incrementally by :meth:`apply_edges` and
+    compacted when dead slots dominate).  At the start of each update phase
+    the round driver calls :meth:`sync_csr`, which freezes the live edges
+    into ``offsets``/``targets`` CSR arrays with one stable integer argsort
+    — O(m) radix work amortised against the whole phase's neighbour
+    gathers, and skipped entirely when the edge set did not change since
+    the last build (keyed on :attr:`DynamicGraph.version`, so out-of-band
+    mutations such as ``restore_state``/``rebuild`` trigger a full resync
+    instead of silent staleness).
+
+    The ``*_arr`` / ``*_rows`` kernels are the array-in/array-out forms of
+    the scalar round decisions and of :meth:`set_level`; each is
+    differentially pinned to the object store by the backend differential
+    suite.
     """
 
-    backend = "columnar"
-    supports_bulk = True
+    backend = "columnar-frontier"
+    #: The frontier round driver (repro.core.frontier) takes over the PLDS
+    #: phase loops when the store advertises this.
+    supports_frontier = True
 
     __slots__ = (
         "params", "graph", "level", "up_deg", "down",
         "_level_arr", "_stamp", "_width", "_upper", "_lower", "_lower_list",
+        "_eu", "_ev", "_alive", "_n_slots", "_dead", "_slot_of",
+        "_graph_version", "_csr_offsets", "_csr_targets", "_csr_version",
+        "_iota",
     )
 
     #: Below this neighbour count ``set_level`` uses a scalar loop (the
@@ -168,6 +179,12 @@ class ColumnarLevelStore:
             d = graph.degree(v)
             if d:
                 self.up_deg[v] = d
+        self._graph_version = -1
+        self._csr_version = -1
+        self._csr_offsets = np.zeros(n + 1, dtype=np.int64)
+        self._csr_targets = np.empty(0, dtype=np.int64)
+        self._iota = np.arange(1024, dtype=np.int64)
+        self._resync_edges()
 
     # ------------------------------------------------------------------
     # Reads
@@ -187,13 +204,18 @@ class ColumnarLevelStore:
     # ------------------------------------------------------------------
     # Capacity management for the dense down matrix
     # ------------------------------------------------------------------
+    def _width_for(self, lvl: int) -> int:
+        """The matrix width that covers level ``lvl`` (doubling growth)."""
+        num_levels = self.params.num_levels
+        width = self._width
+        while width <= lvl:
+            width = min(num_levels, max(width * 2, lvl + 1))
+        return width
+
     def _ensure_width(self, lvl: int) -> None:
         if lvl < self._width:
             return
-        num_levels = self.params.num_levels
-        new = self._width
-        while new <= lvl:
-            new = min(num_levels, max(new * 2, lvl + 1))
+        new = self._width_for(lvl)
         grown = np.zeros((self.down.shape[0], new), dtype=np.int64)
         grown[:, : self._width] = self.down
         self.down = grown
@@ -206,14 +228,14 @@ class ColumnarLevelStore:
         Scatters whose column varies per row use ``np.add.at`` on this view
         with precomputed indices: the 2-D tuple form ``(rows, cols)`` takes
         NumPy's multi-index path, 2.4–4× slower from ~1k indices up.
-        Re-take the view after :meth:`_ensure_width`, which may reallocate
-        ``down``.
+        Re-take the view after :meth:`_ensure_width` or :meth:`load_levels`,
+        which may reallocate ``down``.
 
         Unlike the 2-D forms, a flat index does not bounds-check its column:
         ``l >= width`` would land in row ``v + 1`` instead of raising.  Every
         flat scatter writes a "below" cell, whose column is a neighbour level
         under the row vertex's own level, and every level is published only
-        after :meth:`_ensure_width` covered it, so ``l < level(v) < width``.
+        after the width covers it, so ``l < level(v) < width``.
         A level corrupted past ``width`` is therefore not caught here, but by
         :meth:`assert_counters_consistent` (level mirror check, and any
         neighbour level ``>= width`` counts as a mismatch).
@@ -254,11 +276,13 @@ class ColumnarLevelStore:
     def apply_edges(
         self, edges: Iterable[tuple[Vertex, Vertex]], kind: str
     ) -> list[tuple[Vertex, Vertex]]:
-        """Apply one pre-filtered batch to the graph, then fix all counters
-        with two ``np.add.at`` scatter kernels (one per endpoint side)."""
+        """Apply one pre-filtered batch to the graph, fix all counters with
+        two ``np.add.at`` scatter kernels (one per endpoint side), and track
+        the batch in the flat edge list."""
         batch = list(edges)
         if not batch:
             return batch
+        pre = self.graph.version
         if kind == "insert":
             applied = self.graph.insert_batch(batch)
             sign = 1
@@ -274,6 +298,15 @@ class ColumnarLevelStore:
             )
         arr = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
         self._scatter_counters(arr, sign)
+        if self._graph_version == pre:
+            # In sync before the batch: track it incrementally.  When stale
+            # (out-of-band graph mutation), stay stale and let sync_csr
+            # trigger the full resync.
+            if sign > 0:
+                self._append_edges(batch)
+            else:
+                self._kill_edges(batch)
+            self._graph_version = self.graph.version
         return batch
 
     def _scatter_counters(self, arr: np.ndarray, sign: int) -> None:
@@ -392,81 +425,6 @@ class ColumnarLevelStore:
                 self.up_deg[v] += k
                 np.subtract.at(self.down[v], lw[crossed], 1)
 
-    def bulk_raise_level(
-        self, movers: Sequence[Vertex], old: int
-    ) -> list[int]:
-        """Move every vertex in ``movers`` from ``old`` to ``old + 1`` in
-        one scatter pass; returns the non-mover neighbours sitting at the
-        destination level (the insertion sweep's re-check set).
-
-        The counter delta of a simultaneous single-level raise reduces to
-        three neighbour masks (mover–mover edges cancel: both endpoints
-        stay mutually "up"):
-
-        * neighbour at ``old``   — mover loses an up-neighbour, gains
-          ``down[old]``;
-        * neighbour at ``old+1`` — neighbour's ``down[old]`` becomes an
-          up-neighbour;
-        * neighbour above        — neighbour's ``down[old]`` shifts to
-          ``down[old+1]``.
-
-        Equivalent to calling :meth:`set_level` once per mover (the counter
-        state is a pure function of the final levels); the live level list
-        is written last, after all counters.
-        """
-        new = old + 1
-        self._ensure_width(new)
-        if _OBS.enabled:
-            _K_RAISE.inc()
-            _K_ROWS.inc(len(movers))
-        graph = self.graph
-        varr = np.fromiter(movers, count=len(movers), dtype=np.int64)
-        counts = np.fromiter(
-            (len(graph.neighbors_unsafe(v)) for v in movers),
-            count=len(movers),
-            dtype=np.int64,
-        )
-        requeue: list[int] = []
-        total = int(counts.sum())
-        if total:
-            flat = np.empty(total, dtype=np.int64)
-            pos = 0
-            for v in movers:
-                nb = graph.neighbors_unsafe(v)
-                k = len(nb)
-                flat[pos : pos + k] = np.fromiter(nb, count=k, dtype=np.int64)
-                pos += k
-            src = np.repeat(varr, counts)
-            # Drop mover-mover pairs (no counter change) via the reusable
-            # stamp array: O(movers) to set and clear.
-            stamp = self._stamp
-            stamp[varr] = True
-            keep = ~stamp[flat]
-            stamp[varr] = False
-            flat = flat[keep]
-            src = src[keep]
-            lw = self._level_arr[flat]
-            at_old = lw == old
-            if at_old.any():
-                np.add.at(self.up_deg, src[at_old], -1)
-                np.add.at(self.down[:, old], src[at_old], 1)
-            at_new = lw == new
-            if at_new.any():
-                t = flat[at_new]
-                np.add.at(self.down[:, old], t, -1)
-                np.add.at(self.up_deg, t, 1)
-                requeue = unique(t).tolist()
-            above = lw > new
-            if above.any():
-                t = flat[above]
-                np.add.at(self.down[:, old], t, -1)
-                np.add.at(self.down[:, new], t, 1)
-        self._level_arr[varr] = new
-        level = self.level
-        for v in movers:
-            level[v] = new
-        return requeue
-
     # ------------------------------------------------------------------
     # Invariant predicates
     # ------------------------------------------------------------------
@@ -512,38 +470,6 @@ class ColumnarLevelStore:
         return 0
 
     # ------------------------------------------------------------------
-    # Bulk (vectorised) round decisions
-    # ------------------------------------------------------------------
-    def bulk_inv1_violators(self, cands: Sequence[Vertex]) -> list[Vertex]:
-        """Which candidates violate Invariant 1, in submission order."""
-        if _OBS.enabled:
-            _K_INV1.inc()
-            _K_ROWS.inc(len(cands))
-        c = np.asarray(cands, dtype=np.int64)
-        lv = self._level_arr[c]
-        viol = (lv < self.params.max_level) & (self.up_deg[c] > self._upper[lv])
-        return [cands[i] for i in np.nonzero(viol)[0]]
-
-    def bulk_desire_levels(
-        self, cands: Sequence[Vertex]
-    ) -> list[tuple[Vertex, int]]:
-        """(vertex, desire level) for every Invariant-2 violator among
-        ``cands`` (others are simply omitted)."""
-        if _OBS.enabled:
-            _K_DESIRE.inc()
-            _K_ROWS.inc(len(cands))
-        c = np.asarray(cands, dtype=np.int64)
-        lv = self._level_arr[c]
-        positive = lv > 0
-        below = np.where(positive, lv - 1, 0)
-        cnt = self.up_deg[c] + np.where(positive, self.down[c, below], 0)
-        viol = positive & (cnt < self._lower[lv])
-        return [
-            (cands[i], self.desire_level(cands[i]))
-            for i in np.nonzero(viol)[0]
-        ]
-
-    # ------------------------------------------------------------------
     # State management
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -569,17 +495,17 @@ class ColumnarLevelStore:
             raise ValueError(f"expected {n} levels, got shape {arr.shape}")
         if n and (arr.min() < 0 or arr.max() >= self.params.num_levels):
             raise ValueError("level assignment out of range")
-        if n:
-            self._ensure_width(int(arr.max()))
         self._level_arr[:] = arr
         self.level[:] = arr.tolist()
         self.up_deg[:] = 0
-        self.down[:] = 0
-        edge_list = list(self.graph.edges())
-        if edge_list:
-            self._scatter_counters(
-                np.asarray(edge_list, dtype=np.int64).reshape(-1, 2), 1
-            )
+        # A fresh zero matrix at the covering width: growing the old one
+        # would copy counters that are about to be discarded.
+        if n:
+            self._width = self._width_for(int(arr.max()))
+        self.down = np.zeros((n, self._width), dtype=np.int64)
+        edges = self.graph.edge_array()
+        if edges.size:
+            self._scatter_counters(edges, 1)
 
     def snapshot(self):
         """O(1)-ish state snapshot: three array copies."""
@@ -691,48 +617,6 @@ class ColumnarLevelStore:
                     f"down[{v}] = {row}, recomputed {down[v]}"
                 )
 
-
-class FrontierLevelStore(ColumnarLevelStore):
-    """Columnar store + per-phase CSR view + whole-frontier round kernels.
-
-    The backend behind the ``columnar-frontier`` engine.  On top of the
-    columnar layout it maintains a flat edge list (``_eu``/``_ev`` slot
-    arrays with an alive mask, appended/killed incrementally by
-    :meth:`apply_edges` and compacted when dead slots dominate).  At the
-    start of each update phase the round driver calls :meth:`sync_csr`,
-    which freezes the live edges into ``offsets``/``targets`` CSR arrays
-    with one stable integer argsort — O(m) radix work amortised against the
-    whole phase's neighbour gathers, and skipped entirely when the edge set
-    did not change since the last build (keyed on
-    :attr:`DynamicGraph.version`, so out-of-band mutations such as
-    ``restore_state``/``rebuild`` trigger a full resync instead of silent
-    staleness).
-
-    The ``*_arr`` / ``*_rows`` kernels are the array-in/array-out versions
-    of the scalar round decisions; each is differentially pinned to the
-    scalar semantics by the backend differential suite.
-    """
-
-    backend = "columnar-frontier"
-    #: The frontier round driver (repro.core.frontier) takes over the PLDS
-    #: phase loops when the store advertises this.
-    supports_frontier = True
-
-    __slots__ = (
-        "_eu", "_ev", "_alive", "_n_slots", "_dead", "_slot_of",
-        "_graph_version", "_csr_offsets", "_csr_targets", "_csr_version",
-        "_iota",
-    )
-
-    def __init__(self, graph: DynamicGraph, params: LDSParams) -> None:
-        super().__init__(graph, params)
-        self._graph_version = -1
-        self._csr_version = -1
-        self._csr_offsets = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-        self._csr_targets = np.empty(0, dtype=np.int64)
-        self._iota = np.arange(1024, dtype=np.int64)
-        self._resync_edges()
-
     # ------------------------------------------------------------------
     # Incremental edge list
     # ------------------------------------------------------------------
@@ -806,23 +690,6 @@ class FrontierLevelStore(ColumnarLevelStore):
         self._n_slots = k
         self._dead = 0
 
-    def apply_edges(
-        self, edges: Iterable[tuple[Vertex, Vertex]], kind: str
-    ) -> list[tuple[Vertex, Vertex]]:
-        pre = self.graph.version
-        batch = super().apply_edges(edges, kind)
-        if batch:
-            if self._graph_version == pre:
-                # In sync before the batch: track it incrementally.  When
-                # stale (out-of-band graph mutation), stay stale and let
-                # sync_csr trigger the full resync.
-                if kind == "insert":
-                    self._append_edges(batch)
-                else:
-                    self._kill_edges(batch)
-                self._graph_version = self.graph.version
-        return batch
-
     # ------------------------------------------------------------------
     # CSR view + gathers
     # ------------------------------------------------------------------
@@ -882,8 +749,8 @@ class FrontierLevelStore(ColumnarLevelStore):
     # Array-in/array-out round kernels
     # ------------------------------------------------------------------
     def bulk_inv1_violators_arr(self, cands: np.ndarray) -> np.ndarray:
-        """Array version of :meth:`bulk_inv1_violators` (sorted input stays
-        sorted — the mask preserves order)."""
+        """The candidates that violate Invariant 1, as an array (sorted input
+        stays sorted — the mask preserves order)."""
         if _OBS.enabled:
             _K_INV1.inc()
             _K_ROWS.inc(int(cands.size))
@@ -894,8 +761,8 @@ class FrontierLevelStore(ColumnarLevelStore):
     def bulk_desire_levels_arr(
         self, cands: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Array version of :meth:`bulk_desire_levels`: ``(violators,
-        desires)`` with the violators in input order.
+        """Desire levels of the Invariant-2 violators among ``cands``:
+        ``(violators, desires)`` with the violators in input order.
 
         The desire level — the highest ``d <= ℓ(v)`` whose neighbour count
         ``up_deg + Σ_{j >= d-1} down[j]`` meets ``lower_threshold(d)`` — is
@@ -929,9 +796,25 @@ class FrontierLevelStore(ColumnarLevelStore):
     def bulk_raise_level_rows(
         self, movers: np.ndarray, old: int, src: np.ndarray, flat: np.ndarray
     ) -> np.ndarray:
-        """:meth:`bulk_raise_level` fed by pre-gathered CSR rows; returns
-        the requeue set (non-mover neighbours at the destination level) as
-        a sorted array."""
+        """Move every vertex in ``movers`` from ``old`` to ``old + 1`` in one
+        scatter pass over the pre-gathered CSR rows; returns the requeue set
+        (non-mover neighbours at the destination level) as a sorted array.
+
+        The counter delta of a simultaneous single-level raise reduces to
+        three neighbour masks (mover–mover edges cancel: both endpoints
+        stay mutually "up"):
+
+        * neighbour at ``old``   — mover loses an up-neighbour, gains
+          ``down[old]``;
+        * neighbour at ``old+1`` — neighbour's ``down[old]`` becomes an
+          up-neighbour;
+        * neighbour above        — neighbour's ``down[old]`` shifts to
+          ``down[old+1]``.
+
+        Equivalent to calling :meth:`set_level` once per mover (the counter
+        state is a pure function of the final levels); the live level list
+        is written last, after all counters.
+        """
         new = old + 1
         self._ensure_width(new)
         if _OBS.enabled:
@@ -1040,8 +923,6 @@ def make_store(
 
     if backend == "object":
         return ObjectLevelStore(graph, params)
-    if backend == "columnar":
-        return ColumnarLevelStore(graph, params)
     if backend == "columnar-frontier":
         return FrontierLevelStore(graph, params)
     raise ValueError(

@@ -2,7 +2,7 @@
 
 The registry is the single sink every instrumented layer writes into —
 PLDS rebalancing rounds, CPLDS marking and sandwiched-read retries, the
-columnar store's vectorised kernels, union-find traffic, the coordinator's
+columnar-frontier store's vectorised kernels, union-find traffic, the coordinator's
 queue, the supervisor's recovery machinery.  Design constraints, in order:
 
 * **Disabled means one branch.**  Hot paths guard every instrumentation

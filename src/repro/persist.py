@@ -47,6 +47,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.lds.params import LDSParams
+from repro.lds.store import BACKENDS
 from repro.types import Edge
 
 #: Format version embedded in every checkpoint.  Version 2 added the CRC-32
@@ -60,6 +61,33 @@ MIN_FORMAT_VERSION = 2
 
 #: Format version embedded in every journal's genesis record.
 JOURNAL_VERSION = 1
+
+#: Backend names that stored records may carry but the registry no longer
+#: has, mapped to the backend their state restores onto.  The plain
+#: ``columnar`` store was folded into ``columnar-frontier``; both keep the
+#: same level semantics, and stored state is graph + levels only.
+_RETIRED_BACKENDS = {"columnar": "columnar-frontier"}
+
+
+def restore_backend(
+    stored: str | None, error: type[PersistError], source: str
+) -> str:
+    """The level-store backend a stored ``backend`` name restores onto.
+
+    The one decoder for checkpoints and journal genesis records alike: an
+    absent name (records written before the backend seam) restores onto
+    ``object``, a retired name onto its successor, and any other name
+    outside :data:`~repro.lds.store.BACKENDS` raises ``error`` naming it.
+    """
+    if stored is None:
+        return "object"
+    name = _RETIRED_BACKENDS.get(stored, stored)
+    if name not in BACKENDS:
+        raise error(
+            f"{source} names unknown level-store backend {stored!r} "
+            f"(available: {', '.join(BACKENDS)})"
+        )
+    return name
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +138,7 @@ def save_cplds(
     if verify:
         cplds.check_invariants()
     graph = cplds.graph
-    edges = np.asarray(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+    edges = graph.edge_array()
     levels = np.asarray(cplds.plds.state.levels_snapshot(), dtype=np.int64)
     params = cplds.params
     backend = cplds.backend
@@ -189,16 +217,16 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
             f"checkpoint {os.fspath(path)!r} has {len(levels_arr)} levels "
             f"for {n} vertices"
         )
+    backend = restore_backend(
+        backend, CheckpointCorruptError, f"checkpoint {os.fspath(path)!r}"
+    )
     edges = list(map(tuple, edges_arr.tolist()))
     levels = levels_arr.astype(int).tolist()
     params = LDSParams(n, delta=delta, lam=lam, levels_per_group=group_height)
 
     # The restored levels must be a valid LDS state; fail fast otherwise.
     try:
-        return _restore_state(
-            n, params, edges, levels, batch_number,
-            backend=backend if backend is not None else "object",
-        )
+        return _restore_state(n, params, edges, levels, batch_number, backend)
     except Exception as exc:
         raise CheckpointCorruptError(
             f"checkpoint {os.fspath(path)!r} decodes to an inconsistent "
@@ -212,7 +240,7 @@ def _restore_state(
     edges: list[Edge],
     levels: list[int],
     batch_number: int,
-    backend: str = "object",
+    backend: str,
 ) -> CPLDS:
     """Materialise a CPLDS from raw saved state (shared by checkpoint and
     journal-snapshot restore); raises on an inconsistent level assignment."""
@@ -234,13 +262,7 @@ def cplds_from_snapshot(genesis: dict, snapshot: dict) -> CPLDS:
     raises :class:`~repro.errors.JournalCorruptError` (the record's CRC
     already passed, so inconsistency means a logic bug or hand-edited file).
     """
-    n = int(genesis["num_vertices"])
-    params = LDSParams(
-        n,
-        delta=float(genesis["delta"]),
-        lam=float(genesis["lam"]),
-        levels_per_group=int(genesis["group_height"]),
-    )
+    n, params, backend = _genesis_config(genesis)
     try:
         return _restore_state(
             n,
@@ -248,7 +270,7 @@ def cplds_from_snapshot(genesis: dict, snapshot: dict) -> CPLDS:
             [(int(u), int(v)) for u, v in snapshot["edges"]],
             [int(x) for x in snapshot["levels"]],
             int(snapshot["batch_number"]),
-            backend=str(genesis.get("backend", "object")),
+            backend,
         )
     except ReproError:
         raise
@@ -257,6 +279,30 @@ def cplds_from_snapshot(genesis: dict, snapshot: dict) -> CPLDS:
             f"journal snapshot at seq {snapshot.get('seq')} decodes to an "
             f"inconsistent structure: {exc}"
         ) from exc
+
+
+def cplds_from_genesis(genesis: dict) -> CPLDS:
+    """A fresh, empty CPLDS matching a journal's genesis record."""
+    from repro import engines
+
+    n, params, backend = _genesis_config(genesis)
+    return engines.create("cplds", n, params=params, backend=backend)
+
+
+def _genesis_config(genesis: dict) -> tuple[int, LDSParams, str]:
+    """Vertex count, LDS parameters and restore backend of a genesis record
+    (its ``backend`` field decoded by :func:`restore_backend`)."""
+    n = int(genesis["num_vertices"])
+    params = LDSParams(
+        n,
+        delta=float(genesis["delta"]),
+        lam=float(genesis["lam"]),
+        levels_per_group=int(genesis["group_height"]),
+    )
+    backend = restore_backend(
+        genesis.get("backend"), JournalCorruptError, "journal genesis record"
+    )
+    return n, params, backend
 
 
 def seed_epoch_store(cplds: CPLDS, store) -> None:
@@ -476,12 +522,15 @@ class BatchJournal:
         genesis = _genesis_payload(
             cplds.graph.num_vertices, cplds.params, cplds.backend
         )
+        # Plain-int (u, v) pairs from one flat tolist, not m row lists;
+        # JSON writes tuples as the same [u, v] arrays.
+        flat = iter(cplds.graph.edge_array().ravel().tolist())
         snapshot = {
             "type": "snapshot",
             "seq": int(seq),
             "batch_number": int(cplds.batch_number),
             "levels": [int(x) for x in cplds.plds.state.levels_snapshot()],
-            "edges": [[int(u), int(v)] for u, v in cplds.graph.edges()],
+            "edges": list(zip(flat, flat)),
         }
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:

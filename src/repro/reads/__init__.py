@@ -11,7 +11,9 @@ Wiring an engine into the tier::
     from repro.reads import EpochSnapshotStore
 
     store = EpochSnapshotStore(window=8)
-    eng = engines.create("cplds", n, backend="columnar", epoch_store=store)
+    eng = engines.create(
+        "cplds", n, backend="columnar-frontier", epoch_store=store
+    )
     eng.insert_batch(edges)               # publishes epoch 1
     with store.pin() as pin:              # lease the newest epoch
         top = pin.top_k(10)               # linearizable at that epoch

@@ -455,13 +455,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI: sweep N seeds and report; exit non-zero on any divergence."""
     import argparse
 
+    from repro import engines
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=50,
                         help="number of seeded schedules to run")
     parser.add_argument("--start", type=int, default=0,
                         help="first seed of the sweep")
     parser.add_argument("--backend", default="object",
-                        help="level-store backend (object | columnar | columnar-frontier)")
+                        choices=engines.backends(),
+                        help="level-store backend (default: object)")
     parser.add_argument("--record", action="store_true",
                         help="enable the flight recorder; dump on every "
                              "induced failure")

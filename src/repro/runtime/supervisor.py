@@ -47,7 +47,6 @@ from repro.errors import (
     ServiceFailedError,
 )
 from repro.harness.telemetry import ServiceTelemetry
-from repro.lds.params import LDSParams
 from repro.obs import REGISTRY as _OBS
 from repro.obs.flightrec import RECORDER as _REC, EventType as _EV
 from repro.obs.staleness import (
@@ -180,27 +179,6 @@ class RecoveryReport:
     checkpoints_rejected: int
 
 
-def _cplds_from_genesis(genesis: dict) -> CPLDS:
-    """Fresh structure matching a journal's genesis record.
-
-    The genesis ``backend`` field is additive: journals written before the
-    level-store seam lack it and restore onto the object backend.
-    """
-    from repro import engines
-
-    n = int(genesis["num_vertices"])
-    params = LDSParams(
-        n,
-        delta=float(genesis["delta"]),
-        lam=float(genesis["lam"]),
-        levels_per_group=int(genesis["group_height"]),
-    )
-    return engines.create(
-        "cplds", n, params=params,
-        backend=str(genesis.get("backend", "object")),
-    )
-
-
 def _list_checkpoints(directory: str) -> list[tuple[int, str]]:
     """(seq, path) of every checkpoint file in ``directory``, newest first."""
     out = []
@@ -230,7 +208,12 @@ def restore_from_dir(directory: str | os.PathLike[str]) -> tuple[CPLDS, Recovery
     batches.  If nothing at or above the floor is restorable, recovery
     raises rather than diverge.
     """
-    from repro.persist import BatchJournal, cplds_from_snapshot, load_cplds
+    from repro.persist import (
+        BatchJournal,
+        cplds_from_genesis,
+        cplds_from_snapshot,
+        load_cplds,
+    )
 
     directory = os.fspath(directory)
     contents = BatchJournal.scan(os.path.join(directory, JOURNAL_FILENAME))
@@ -256,7 +239,7 @@ def restore_from_dir(directory: str | os.PathLike[str]) -> tuple[CPLDS, Recovery
         base = cplds_from_snapshot(contents.genesis, contents.latest_snapshot())
         base_seq = floor
     if base is None:
-        base = _cplds_from_genesis(contents.genesis)
+        base = cplds_from_genesis(contents.genesis)
 
     replayed = 0
     last = base_seq
@@ -579,7 +562,7 @@ class SupervisedCPLDS:
         pre_state = None
         if self._journal is None:
             # Persistence-free recovery restores the exact pre-batch state
-            # captured here (cheap array copies on the columnar backend).
+            # captured here (cheap array copies on the columnar-frontier backend).
             pre_state = self.impl.snapshot_state()
 
         try:

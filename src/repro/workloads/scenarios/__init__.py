@@ -14,7 +14,7 @@ Quickstart::
     from repro.workloads import scenarios
 
     spec = scenarios.load_catalog()[0]
-    result = scenarios.run_scenario(spec, backend="columnar", smoke=True)
+    result = scenarios.run_scenario(spec, backend="columnar-frontier", smoke=True)
     print(result.slo["status"], result.work)
 
 CLI: ``python -m repro.workloads.scenarios --catalog --backend all``

@@ -3,7 +3,7 @@
 The standard sweep substrate (see ``docs/scenarios.md``)::
 
     # Every bundled spec on one backend, JSONL report to a file:
-    python -m repro.workloads.scenarios --catalog --backend columnar \\
+    python -m repro.workloads.scenarios --catalog --backend columnar-frontier \\
         --out reports.jsonl
 
     # CI smoke: three fast specs, all backends, hard-fail on any SLO

@@ -39,7 +39,7 @@ def _doc(moves=1000, rounds=50, batch_s=0.5, read_s=1e-5, staleness=None) -> dic
     work["plds_rounds_total"] = rounds
     backends = {}
     metrics = {}
-    for backend in ("object", "columnar"):
+    for backend in ("object", "columnar-frontier"):
         backends[backend] = {
             "fig3": {"cplds_median_read_latency_s": read_s},
             "fig5": {"cplds_median_batch_time_s": batch_s},
@@ -97,10 +97,10 @@ def test_missing_metrics_section_fails():
     assert "regenerate" in result.failures[0]
 
     cand = _doc()
-    del cand["metrics"]["columnar"]["work"]
+    del cand["metrics"]["columnar-frontier"]["work"]
     result = bench_gate.compare(_doc(), cand)
     assert not result.ok
-    assert any("[columnar]" in f for f in result.failures)
+    assert any("[columnar-frontier]" in f for f in result.failures)
 
 
 def test_missing_counter_fails():
@@ -208,14 +208,17 @@ def test_checked_in_baseline_has_metrics():
     path = os.path.join(os.path.dirname(__file__), os.pardir, BENCH_ARTIFACT)
     with open(path) as fh:
         doc = json.load(fh)
-    for backend in ("object", "columnar", "columnar-frontier"):
+    for backend in ("object", "columnar-frontier"):
         work = doc["metrics"][backend]["work"]
         for name in WORK_COUNTERS:
             assert isinstance(work[name], int) and work[name] >= 0
     # Work counters are backend-independent by construction.
-    assert doc["metrics"]["object"]["work"] == doc["metrics"]["columnar"]["work"]
+    assert (
+        doc["metrics"]["object"]["work"]
+        == doc["metrics"]["columnar-frontier"]["work"]
+    )
     # Every backend carries the staleness accounting the SLO budgets read.
-    for backend in ("object", "columnar", "columnar-frontier"):
+    for backend in ("object", "columnar-frontier"):
         stale = doc["backends"][backend]["staleness"]
         assert stale["reads_live"] + stale["reads_descriptor"] > 0
         assert stale["slo"]["status"] in ("PASS", "WARN", "FAIL")

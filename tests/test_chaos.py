@@ -28,8 +28,8 @@ class TestSmoke:
         assert_converged(run_chaos(seed, tmp_path))
 
     @pytest.mark.parametrize("seed", [0, 27])
-    def test_seed_converges_columnar(self, seed, tmp_path):
-        assert_converged(run_chaos(seed, tmp_path, backend="columnar"))
+    def test_seed_converges_frontier(self, seed, tmp_path):
+        assert_converged(run_chaos(seed, tmp_path, backend="columnar-frontier"))
 
     def test_deterministic_in_seed(self, tmp_path):
         a = run_chaos(3, tmp_path / "a")
@@ -41,8 +41,8 @@ class TestSmoke:
         stream never sees the backend choice, so everything except the
         backend tag matches field for field."""
         a = run_chaos(3, tmp_path / "a")
-        b = run_chaos(3, tmp_path / "b", backend="columnar")
-        assert a.backend == "object" and b.backend == "columnar"
+        b = run_chaos(3, tmp_path / "b", backend="columnar-frontier")
+        assert a.backend == "object" and b.backend == "columnar-frontier"
         for field in (
             "num_vertices", "batches_submitted", "crashes_armed",
             "poison_edges", "restarts", "truncated_bytes",
@@ -69,7 +69,7 @@ class TestSmoke:
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("backend", ["object", "columnar"])
+@pytest.mark.parametrize("backend", ["object", "columnar-frontier"])
 class TestAcceptanceSweep:
     """The robustness acceptance criterion: >= 50 seeded fault schedules
     (mid-batch crashes, journal truncation, checkpoint corruption, poison

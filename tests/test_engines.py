@@ -1,7 +1,7 @@
 """The engine registry and the backend differential property.
 
 The differential test is the refactor's correctness anchor: the same update
-schedule driven through the same engine on the ``object``, ``columnar`` and
+schedule driven through the same engine on the ``object`` and
 ``columnar-frontier`` level stores must produce identical levels, identical
 coreness estimates, identical deterministic work counters
 (moves/rounds/marked/DAGs) and identical invariant verdicts — through plain
@@ -28,10 +28,18 @@ from repro.core import CPLDS
 from repro.engines import CoreEngine
 from repro.lds.params import LDSParams
 from repro.lds.store import BACKENDS
-from repro.persist import _checkpoint_checksum, load_cplds, save_cplds
+from repro.errors import CheckpointCorruptError, JournalCorruptError
+from repro.persist import (
+    BatchJournal,
+    _checkpoint_checksum,
+    _encode_record,
+    _genesis_payload,
+    load_cplds,
+    save_cplds,
+)
 from repro.runtime.chaos import ChaosHooks
 from repro.runtime.inject import HookChain
-from repro.runtime.supervisor import SupervisedCPLDS
+from repro.runtime.supervisor import JOURNAL_FILENAME, SupervisedCPLDS
 
 
 def mixed_schedule(seed, n, num_batches):
@@ -104,7 +112,9 @@ class TestRegistry:
 
     def test_params_threaded_through(self):
         params = LDSParams(12, levels_per_group=4)
-        impl = engines.create("cplds", 12, params=params, backend="columnar")
+        impl = engines.create(
+            "cplds", 12, params=params, backend="columnar-frontier"
+        )
         assert impl.params is params
 
 
@@ -199,7 +209,7 @@ _batch = st.tuples(
 
 
 class TestHypothesisDifferential:
-    """Property form of the backend differential, all three backends.
+    """Property form of the backend differential, on both backends.
 
     Beyond levels and reads, this asserts the *work counters* the CI bench
     gate keys on (moves, rounds, marked vertices, DAG count) are
@@ -337,28 +347,139 @@ class TestPersistBackends:
         restores onto the object backend."""
         reference = engines.create("cplds", 8)
         reference.insert_batch([(0, 1), (1, 2), (2, 3), (0, 2)])
-        edges = np.asarray(
-            list(reference.graph.edges()), dtype=np.int64
-        ).reshape(-1, 2)
-        levels = np.asarray(reference.levels(), dtype=np.int64)
-        p = reference.params
-        checksum = _checkpoint_checksum(
-            8, edges, levels, reference.batch_number,
-            p.delta, p.lam, p.group_height,
-        )
         path = tmp_path / "v2.npz"
-        np.savez_compressed(
-            path,
-            format_version=np.int64(2),
-            num_vertices=np.int64(8),
-            edges=edges,
-            levels=levels,
-            batch_number=np.int64(reference.batch_number),
-            delta=np.float64(p.delta),
-            lam=np.float64(p.lam),
-            group_height=np.int64(p.group_height),
-            checksum=np.uint32(checksum),
-        )
+        _write_checkpoint(path, reference, None)
         restored = load_cplds(path)
         assert restored.backend == "object"
         assert list(restored.levels()) == list(reference.levels())
+
+
+def _write_checkpoint(path, impl, stored_name, checksum_name=None):
+    """A hand-written archive of ``impl``'s state: version 3 naming
+    ``stored_name`` as its backend and checksummed over ``checksum_name``
+    (default: the same name), or version 2 (no backend field, version-2
+    checksum) when ``stored_name`` is None."""
+    edges = np.asarray(list(impl.graph.edges()), dtype=np.int64).reshape(-1, 2)
+    levels = np.asarray(impl.levels(), dtype=np.int64)
+    p = impl.params
+    n = impl.graph.num_vertices
+    checksum = _checkpoint_checksum(
+        n, edges, levels, impl.batch_number, p.delta, p.lam, p.group_height,
+        stored_name if checksum_name is None else checksum_name,
+    )
+    fields = {} if stored_name is None else {"backend": np.str_(stored_name)}
+    np.savez_compressed(
+        path,
+        format_version=np.int64(2 if stored_name is None else 3),
+        num_vertices=np.int64(n),
+        edges=edges,
+        levels=levels,
+        batch_number=np.int64(impl.batch_number),
+        delta=np.float64(p.delta),
+        lam=np.float64(p.lam),
+        group_height=np.int64(p.group_height),
+        checksum=np.uint32(checksum),
+        **fields,
+    )
+
+
+class TestRetiredColumnarName:
+    """State stored under the retired ``"columnar"`` backend name (written
+    by releases that still had the plain columnar store) restores onto
+    ``columnar-frontier``, with the same levels as an ``object`` restore."""
+
+    N = 16
+
+    def _reference(self):
+        impl = engines.create("cplds", self.N)
+        schedule = mixed_schedule(9, self.N, 8)
+        for ins, dels in schedule:
+            impl.insert_batch(ins)
+            impl.delete_batch(dels)
+        return impl, schedule
+
+    def test_checkpoint_restores_onto_frontier(self, tmp_path):
+        impl, _ = self._reference()
+        _write_checkpoint(tmp_path / "old.npz", impl, "columnar")
+        _write_checkpoint(tmp_path / "obj.npz", impl, "object")
+        restored = load_cplds(tmp_path / "old.npz")
+        reference = load_cplds(tmp_path / "obj.npz")
+        assert restored.backend == "columnar-frontier"
+        assert type(restored).__name__ == "FrontierCPLDS"
+        assert list(restored.levels()) == list(reference.levels())
+        assert restored.batch_number == reference.batch_number
+        # A re-save records the backend the state now runs on.
+        save_cplds(restored, tmp_path / "resaved.npz")
+        with np.load(tmp_path / "resaved.npz") as data:
+            assert str(data["backend"]) == "columnar-frontier"
+        assert load_cplds(tmp_path / "resaved.npz").backend == "columnar-frontier"
+
+    def test_tampered_name_fails_checksum(self, tmp_path):
+        impl, _ = self._reference()
+        path = tmp_path / "tampered.npz"
+        _write_checkpoint(path, impl, "columnar-frontier", "columnar")
+        with pytest.raises(CheckpointCorruptError, match="checksum"):
+            load_cplds(path)
+
+    def test_unknown_checkpoint_name_is_typed(self, tmp_path):
+        impl, _ = self._reference()
+        path = tmp_path / "bogus.npz"
+        _write_checkpoint(path, impl, "bogus-store")
+        with pytest.raises(CheckpointCorruptError, match="bogus-store"):
+            load_cplds(path)
+
+    def _open(self, directory):
+        service, report = SupervisedCPLDS.open(str(directory))
+        levels = list(service.impl.levels())
+        backend = service.impl.backend
+        service.close()
+        genesis = BatchJournal.scan(directory / JOURNAL_FILENAME).genesis
+        return backend, levels, genesis["backend"], report
+
+    def test_genesis_only_journal_restores_onto_frontier(self, tmp_path):
+        impl, schedule = self._reference()
+        d = tmp_path / "state"
+        d.mkdir()
+        with BatchJournal.create(
+            d / JOURNAL_FILENAME, num_vertices=self.N, params=impl.params,
+            backend="columnar",
+        ) as journal:
+            for ins, dels in schedule:
+                journal.commit(journal.append_batch(ins, []))
+                journal.commit(journal.append_batch([], dels))
+        backend, levels, resaved, report = self._open(d)
+        assert backend == "columnar-frontier"
+        assert levels == list(impl.levels())
+        assert report.replayed == 2 * len(schedule)
+        assert resaved == "columnar-frontier"
+
+    def test_snapshot_journal_restores_onto_frontier(self, tmp_path):
+        impl, _ = self._reference()
+        d = tmp_path / "state"
+        d.mkdir()
+        snapshot = {
+            "type": "snapshot",
+            "seq": 5,
+            "batch_number": impl.batch_number,
+            "levels": list(impl.levels()),
+            "edges": [list(e) for e in impl.graph.edges()],
+        }
+        genesis = _genesis_payload(self.N, impl.params, "columnar")
+        (d / JOURNAL_FILENAME).write_bytes(
+            _encode_record(genesis) + _encode_record(snapshot)
+        )
+        backend, levels, resaved, report = self._open(d)
+        assert backend == "columnar-frontier"
+        assert levels == list(impl.levels())
+        assert report.recovered_through == 5
+        assert resaved == "columnar-frontier"
+
+    def test_unknown_genesis_name_is_typed(self, tmp_path):
+        d = tmp_path / "state"
+        d.mkdir()
+        BatchJournal.create(
+            d / JOURNAL_FILENAME, num_vertices=8, params=LDSParams(8),
+            backend="bogus-store",
+        ).close()
+        with pytest.raises(JournalCorruptError, match="bogus-store"):
+            SupervisedCPLDS.open(str(d))

@@ -54,7 +54,7 @@ class TestSnapshotQueries:
         }
 
     def test_top_k_is_deterministic_desc_then_vertex(self):
-        eng, store = engine_with_store("columnar")
+        eng, store = engine_with_store("columnar-frontier")
         eng.insert_batch(EDGES)
         snap = store.newest()
         top = snap.top_k(4)
@@ -183,7 +183,7 @@ class TestWiring:
             engines.create("nonsync", 8, epoch_store=EpochSnapshotStore())
 
     def test_attach_seeds_current_state(self):
-        eng = engines.create("cplds", 8, backend="columnar")
+        eng = engines.create("cplds", 8, backend="columnar-frontier")
         eng.insert_batch(EDGES)
         store = EpochSnapshotStore()
         attach_epoch_store(eng, store)

@@ -344,7 +344,7 @@ class TestProperties:
                 [state.satisfies_invariant1(v) for v in range(n)],
                 [state.satisfies_invariant2(v) for v in range(n)],
             )
-        assert results["object"] == results["columnar"]
+        assert results["object"] == results["columnar-frontier"]
 
 
 # ----------------------------------------------------------------------
@@ -487,14 +487,13 @@ class TestWholeArrayCheckers:
     def test_neighbour_level_outside_down_matrix_is_a_mismatch(self):
         # A level written behind the store's back past the matrix width:
         # the recomputed count has no cell to match.
-        for be in ("columnar", "columnar-frontier"):
-            state = _sound_state(be)
-            width = state.down.shape[1]
-            state.level[20] = width + 1
-            state._level_arr[20] = width + 1
-            with pytest.raises(AssertionError):
-                state.assert_counters_consistent()
-            assert _checker_fault(state) == _brute_force_first_fault(state)
+        state = _sound_state("columnar-frontier")
+        width = state.down.shape[1]
+        state.level[20] = width + 1
+        state._level_arr[20] = width + 1
+        with pytest.raises(AssertionError):
+            state.assert_counters_consistent()
+        assert _checker_fault(state) == _brute_force_first_fault(state)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -132,7 +132,7 @@ class TestReadHeavyMix:
             ReadHeavyMixGenerator([], 10, batch_size=1, read_block=0)
 
     def test_run_read_heavy_drives_epoch_tier(self):
-        result = run_read_heavy(self._mix(), backend="columnar")
+        result = run_read_heavy(self._mix(), backend="columnar-frontier")
         assert result.insertions == result.deletions == 120
         assert result.bulk_reads == result.vertices_read // 8 > 0
         # Reads ride the epoch tier: every pin served a published epoch,

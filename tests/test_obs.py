@@ -299,12 +299,17 @@ def test_render_empty():
 # ----------------------------------------------------------------------
 # Differential: both backends report identical deterministic counters
 # ----------------------------------------------------------------------
-DETERMINISTIC_COUNTERS = (
+#: Counters every CPLDS engine records (the bench gate's work counters).
+ENGINE_COUNTERS = (
     "plds_moves_total",
     "plds_rounds_total",
     "cplds_batches_total",
     "cplds_marked_total",
     "cplds_dags_total",
+)
+#: Plus the per-mark / per-link counters of the descriptor marking engine
+#: (repro.core.marking), which the frontier engine does not run.
+DETERMINISTIC_COUNTERS = ENGINE_COUNTERS + (
     "marking_marks_total",
     "marking_dag_merges_total",
 )
@@ -313,6 +318,7 @@ DETERMINISTIC_COUNTERS = (
 def test_backends_report_identical_work_counters():
     import random
 
+    from repro import engines
     from repro.core.cplds import CPLDS
 
     random.seed(7)
@@ -323,21 +329,29 @@ def test_backends_report_identical_work_counters():
         edges.add((min(u, v), max(u, v)))
     stream = sorted(edges)
 
-    per_backend = {}
-    obs.enable()
-    for backend in ("object", "columnar"):
+    def counters(cp):
         obs.reset()
-        cp = CPLDS(n, backend=backend)
         cp.insert_batch(stream[:300])
         cp.delete_batch(stream[:80])
         cp.insert_batch(stream[300:])
-        per_backend[backend] = {
+        return {
             name: obs.REGISTRY.counter_value(name)
             for name in DETERMINISTIC_COUNTERS
         }
-    assert per_backend["object"] == per_backend["columnar"]
-    assert per_backend["object"]["plds_moves_total"] > 0
-    assert per_backend["object"]["cplds_batches_total"] == 3
+
+    obs.enable()
+    reference = counters(engines.create("cplds", n, backend="object"))
+    # The marking engine over the array store: every counter agrees.
+    assert counters(CPLDS(n, backend="columnar-frontier")) == reference
+    # The frontier engine the registry builds for the array store.
+    frontier = engines.create("cplds", n, backend="columnar-frontier")
+    assert type(frontier).__name__ == "FrontierCPLDS"
+    got = counters(frontier)
+    assert {k: got[k] for k in ENGINE_COUNTERS} == {
+        k: reference[k] for k in ENGINE_COUNTERS
+    }
+    assert reference["plds_moves_total"] > 0
+    assert reference["cplds_batches_total"] == 3
 
 
 # ----------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_cross_backend_work_counters_match():
     spec = load_spec(catalog_dir_path("bipartite-churn"))
     results = [
         run_scenario(spec, backend=b, smoke=True)
-        for b in ("object", "columnar", "columnar-frontier")
+        for b in ("object", "columnar-frontier")
     ]
     assert work_divergences(results) == {}
     assert slo_failures(results) == []

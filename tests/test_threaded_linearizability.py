@@ -136,7 +136,8 @@ class TestThreadedEpochReads:
         stream = make_stream(13, n=80, m=500, batch=60)
         store = EpochSnapshotStore(window=4, max_staleness=1)
         impl = engines.create(
-            "cplds", stream.num_vertices, backend="columnar", epoch_store=store
+            "cplds", stream.num_vertices, backend="columnar-frontier",
+            epoch_store=store,
         )
         history = run_threaded_history(
             impl, stream, num_readers=2, reads_cap=1500, epoch_store=store
