@@ -9,7 +9,7 @@ BENCH_ARTIFACT ?= BENCH_pr16.json
 # Every target runs against the in-tree sources, no install required.
 export PYTHONPATH = src
 
-.PHONY: install test lint chaos svcbench-determinism scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
+.PHONY: install test lint chaos svcbench-determinism batch-rss scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -32,6 +32,11 @@ chaos:
 # counts (six benchmark runs, a few minutes; what nightly CI runs).
 svcbench-determinism:
 	$(PYTHON) -m pytest svcbench -q
+
+# Peak RSS of one 64,000-edge insert batch in a fresh process; fails at
+# 1 GB or more (what nightly CI runs).
+batch-rss:
+	$(PYTHON) benchmarks/batch_rss.py
 
 # Full scenario catalog on both store backends (what nightly CI runs).
 scenarios:

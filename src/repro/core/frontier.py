@@ -40,6 +40,9 @@ The round drivers adapt to whatever hooks are installed:
 from __future__ import annotations
 
 import heapq
+import math
+import threading
+import time
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +80,27 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: knob; 4 measured best on the bundled datasets (larger values regress —
 #: the array kernels win surprisingly early).
 _SMALL_FRONTIER = 4
+
+#: The DAG-pair buffer is deduplicated in place once it holds more rows than
+#: this many times the graph's edge count.  Round pairs are graph edges, so
+#: a compacted buffer holds at most m rows: batch memory is set by the graph,
+#: not by how many rounds re-derive the same dependency edge.
+_PAIR_BUFFER_EDGES = 4
+
+#: While other threads exist, the round drivers release the GIL for a moment
+#: once this much round work has run since the last release.  A reader that
+#: wakes behind a busy writer otherwise waits out the interpreter's switch
+#: interval (5 ms): the kernels' own GIL-free stretches are too short for a
+#: waiting thread to take the GIL, and each one restarts its wait.
+_READER_YIELD_S = 0.00015
+
+
+def _next_yield() -> float:
+    """When the round drivers next release the GIL: never while this is the
+    only thread, since no reader can be waiting."""
+    if threading.active_count() == 1:
+        return math.inf
+    return time.perf_counter() + _READER_YIELD_S
 
 
 def _hook_mode(hooks: UpdateHooks) -> str:
@@ -139,7 +163,11 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
             for i, s0 in enumerate(starts):
                 enqueue(se[s0 : bounds[i + 1]], int(sl[s0]))
 
+        yield_at = _next_yield()
         while heap:
+            if time.perf_counter() >= yield_at:
+                time.sleep(0)
+                yield_at = _next_yield()
             lvl = heapq.heappop(heap)
             chunks = pending.pop(lvl, None)
             if chunks is None:
@@ -214,7 +242,11 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
             )
         else:
             outstanding = _EMPTY
+        yield_at = _next_yield()
         while outstanding.size:
+            if time.perf_counter() >= yield_at:
+                time.sleep(0)
+                yield_at = _next_yield()
             _noop_round(executor, int(outstanding.size))
             viols, desires = state.bulk_desire_levels_arr(outstanding)
             if viols.size == 0:
@@ -287,7 +319,8 @@ class FrontierMarkingHooks(UpdateHooks):
     buffers during the rounds and merged with one grouped union at phase
     end — deferring the unions is safe because a mid-phase reader that
     finds ``marked[v]`` set must return ``old_level[v]`` no matter which
-    DAG ``v`` belongs to.
+    DAG ``v`` belongs to.  The buffer is compacted to its distinct pairs
+    whenever it passes :data:`_PAIR_BUFFER_EDGES` times the edge count.
 
     Pair derivation matches the hook-time trigger scans of
     :class:`~repro.core.cplds._MarkingHooks` exactly (the differential suite
@@ -303,13 +336,16 @@ class FrontierMarkingHooks(UpdateHooks):
 
     supports_bulk_moves = True
 
-    __slots__ = ("cp", "_phase", "_edges", "_pair_chunks", "_pairs_scalar")
+    __slots__ = (
+        "cp", "_phase", "_edges", "_pair_chunks", "_pair_rows", "_pairs_scalar"
+    )
 
     def __init__(self, cp: "FrontierCPLDS") -> None:
         self.cp = cp
         self._phase: Phase = "insert"
         self._edges: Sequence[Edge] = ()
         self._pair_chunks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pair_rows = 0
         self._pairs_scalar: list[tuple[int, int]] = []
 
     # -- phase boundaries ----------------------------------------------
@@ -325,8 +361,7 @@ class FrontierMarkingHooks(UpdateHooks):
                 len(edges),
             )
         self._edges = edges
-        self._pair_chunks.clear()
-        self._pairs_scalar.clear()
+        self._clear_pairs()
 
     # -- scalar mode (chained hooks) -----------------------------------
     def before_move(self, v: Vertex, old: int, new: int, phase: Phase) -> None:
@@ -372,7 +407,7 @@ class FrontierMarkingHooks(UpdateHooks):
             # dedups pairs as unordered keys, so the union input is the same.
             trigger &= ~w_moves | (src < flat)
             if np.count_nonzero(trigger):
-                self._pair_chunks.append((src[trigger], flat[trigger]))
+                self._buffer_pairs(src[trigger], flat[trigger])
         newly = movers[~marked[movers]]
         cp._old_level[newly] = lvl
         marked[movers] = True
@@ -407,11 +442,36 @@ class FrontierMarkingHooks(UpdateHooks):
                 & ((lstar < lw - 1) | (marked[flat] & below))
             )
             if np.count_nonzero(pair):
-                self._pair_chunks.append((src[pair], flat[pair]))
+                self._buffer_pairs(src[pair], flat[pair])
         fresh = ~marked[movers]
         newly = movers[fresh]
         cp._old_level[newly] = old_levels[fresh]
         marked[movers] = True
+
+    # -- the pair buffer ------------------------------------------------
+    def _buffer_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
+        self._pair_chunks.append((a, b))
+        self._pair_rows += a.size
+        if self._pair_rows > _PAIR_BUFFER_EDGES * self.cp.plds.graph.num_edges:
+            key = self._pair_keys()
+            n = self.cp._marked.shape[0]
+            self._pair_chunks[:] = [(key // n, key % n)]
+            self._pair_rows = key.size
+
+    def _pair_keys(self) -> np.ndarray:
+        """The buffered pairs as sorted distinct unordered keys
+        ``min * n + max``.  Rounds re-derive the same dependency edge many
+        times (in every round that moves an endpoint), and union cost scales
+        with the pair count, not the edge count."""
+        n = np.int64(self.cp._marked.shape[0])
+        a = np.concatenate([x for x, _ in self._pair_chunks])
+        b = np.concatenate([x for _, x in self._pair_chunks])
+        return unique(np.minimum(a, b) * n + np.maximum(a, b))
+
+    def _clear_pairs(self) -> None:
+        self._pair_chunks.clear()
+        self._pair_rows = 0
+        self._pairs_scalar.clear()
 
     # -- phase end: union, telemetry, unmark ----------------------------
     def batch_end(self) -> None:
@@ -429,12 +489,7 @@ class FrontierMarkingHooks(UpdateHooks):
             sarr = np.asarray(self._pairs_scalar, dtype=np.int64).reshape(-1, 2)
             self._pair_chunks.append((sarr[:, 0], sarr[:, 1]))
         if self._pair_chunks:
-            a = np.concatenate([x for x, _ in self._pair_chunks])
-            b = np.concatenate([x for _, x in self._pair_chunks])
-            # Dedup before the union: rounds re-derive the same dependency
-            # edge many times (in every round that moves an endpoint), and
-            # union cost scales with the pair count, not the edge count.
-            key = unique(np.minimum(a, b) * np.int64(marked.shape[0]) + np.maximum(a, b))
+            key = self._pair_keys()
             uf.union_pairs(key // marked.shape[0], key % marked.shape[0])
             if _REC.enabled:
                 # One grouped event per phase-end union (the object engine
@@ -472,8 +527,7 @@ class FrontierMarkingHooks(UpdateHooks):
         # Reset the forest to singletons for the next phase (unions only
         # ever touch marked vertices).
         uf.parent[marked_idx] = marked_idx
-        self._pair_chunks.clear()
-        self._pairs_scalar.clear()
+        self._clear_pairs()
         self._edges = ()
         cp._publish_epoch()
 
@@ -638,8 +692,7 @@ class FrontierCPLDS(CPLDS):
         parent[:] = np.arange(len(parent), dtype=np.int64)
         hooks = self._frontier_hooks()
         if hooks is not None:
-            hooks._pair_chunks.clear()
-            hooks._pairs_scalar.clear()
+            hooks._clear_pairs()
             hooks._edges = ()
 
     def _frontier_hooks(self) -> FrontierMarkingHooks | None:

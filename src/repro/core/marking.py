@@ -38,8 +38,6 @@ NOT_MARKED = False
 # Cached metric handles.  Only the *update-side* operations report —
 # ``check_dag`` sits on the read hot path and stays uninstrumented (read
 # retries are counted in :mod:`repro.core.cplds` instead).
-_MARKS = _OBS.counter("marking_marks_total")
-_MERGES = _OBS.counter("marking_dag_merges_total")
 _COMPRESSIONS = _OBS.counter("marking_path_compressions_total")
 
 
@@ -94,8 +92,6 @@ class DescriptorTable:
             desc.parent = sole.vertex
         self.slots[v] = desc
         self.marked_vertices.append(v)
-        if _OBS.enabled:
-            _MARKS.inc()
         return desc
 
     def add_dependencies(self, v: int, related: Sequence[int]) -> None:
@@ -135,11 +131,8 @@ class DescriptorTable:
             for rid in ordered[1:]:
                 if not _cas_parent(roots[rid], I_AM_ROOT, winner.vertex):
                     contended = True  # concurrent link; re-find everything
-                else:
-                    if _OBS.enabled:
-                        _MERGES.inc()
-                    if _REC.enabled:
-                        _REC.record(_EV.DAG_MERGE, winner.vertex, rid)
+                elif _REC.enabled:
+                    _REC.record(_EV.DAG_MERGE, winner.vertex, rid)
             if not contended:
                 # `winner` may itself have been linked concurrently since,
                 # but any member of the merged DAG is a valid attachment

@@ -1,22 +1,24 @@
 """Level-store backends: the storage seam under LDS/PLDS/CPLDS.
 
-Every level structure in this library maintains the same three per-vertex
-quantities — the live ``level``, the up-degree ``up_deg`` and the
-below-level counter map ``down`` — but nothing about the *algorithms*
-(rebalance sweeps, marking, the read sandwich) depends on how those
-quantities are laid out in memory.  Two layouts implement the contract:
+Every level structure in this library maintains the live ``level`` and the
+up-degree ``up_deg`` of each vertex, plus enough below-level counts to
+decide Invariant 2; nothing about the *algorithms* (rebalance sweeps,
+marking, the read sandwich) depends on how that state is laid out in
+memory.  Two layouts implement the contract:
 
 * :class:`~repro.lds.bookkeeping.ObjectLevelStore` (``"object"``) — plain
-  Python lists + dict-of-counts.  Kept as the semantic reference; the
-  array store is differentially tested against it.
+  Python lists + a per-vertex dict of below-level counts.  Kept as the
+  semantic reference; the array store is differentially tested against it.
 * :class:`FrontierLevelStore` (``"columnar-frontier"``) — GBBS-style flat
-  state driven by whole-frontier rounds.  ``level`` is mirrored into an
-  ``int64`` array, ``up_deg`` is an ``int64`` array and ``down`` is a dense
-  ``(n × width)`` counter matrix (``width`` grows lazily with the highest
-  occupied level).  An incrementally maintained flat edge list is frozen
-  into a CSR view once per phase (:meth:`FrontierLevelStore.sync_csr`);
-  neighbour gathers are ``offsets``/``targets`` slices, and the
-  array-in/array-out round kernels
+  per-vertex words driven by whole-frontier rounds.  ``level`` is mirrored
+  into an ``int64`` array; ``up_deg`` and ``down1`` (the number of
+  neighbours at exactly ``ℓ(v) − 1``, all Invariant 2 reads besides
+  ``up_deg``) are ``int64[n]`` arrays, so the counters take O(n) memory
+  whatever the levels.  Desire levels are computed from the neighbour
+  levels in the vertex's own adjacency row.  An incrementally maintained
+  flat edge list is frozen into a CSR view once per phase
+  (:meth:`FrontierLevelStore.sync_csr`); neighbour gathers are
+  ``offsets``/``targets`` slices, and the array-in/array-out round kernels
   (:meth:`~FrontierLevelStore.bulk_inv1_violators_arr`,
   :meth:`~FrontierLevelStore.bulk_desire_levels_arr`,
   :meth:`~FrontierLevelStore.bulk_raise_level_rows`,
@@ -38,6 +40,8 @@ reader-visible word.  The counter structures remain writer-private.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import chain
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -106,7 +110,6 @@ class LevelStore(Protocol):
     def restore(self, snap) -> None: ...
 
     # -- verification ----------------------------------------------------
-    def recompute_counters(self): ...
     def assert_counters_consistent(self) -> None: ...
 
 
@@ -114,9 +117,11 @@ class FrontierLevelStore:
     """Flat-array level state, a per-phase CSR view and whole-frontier
     round kernels: the backend behind the ``columnar-frontier`` engine.
 
-    ``up_deg`` is a flat ``int64`` array and ``down`` a dense ``(n, width)``
-    counter matrix whose ``width`` lazily doubles to cover the highest level
-    any vertex has occupied (bounded by ``params.num_levels``); the
+    ``up_deg`` and ``down1`` are flat ``int64[n]`` arrays: ``up_deg[v]``
+    counts neighbours at ``>= ℓ(v)`` and ``down1[v]`` neighbours at exactly
+    ``ℓ(v) − 1``, so Invariant 2 reads ``up_deg[v] + down1[v]``.  No other
+    below-level count is kept: desire levels come from the neighbour levels
+    themselves (:meth:`desire_level`, :meth:`bulk_desire_levels_arr`).  The
     per-level invariant thresholds are precomputed once into arrays.
 
     The store also keeps a flat edge list (``_eu``/``_ev`` slot arrays with
@@ -142,8 +147,8 @@ class FrontierLevelStore:
     supports_frontier = True
 
     __slots__ = (
-        "params", "graph", "level", "up_deg", "down",
-        "_level_arr", "_stamp", "_width", "_upper", "_lower", "_lower_list",
+        "params", "graph", "level", "up_deg", "down1",
+        "_level_arr", "_stamp", "_upper", "_lower", "_lower_list",
         "_eu", "_ev", "_alive", "_n_slots", "_dead", "_slot_of",
         "_graph_version", "_csr_offsets", "_csr_targets", "_csr_version",
         "_iota",
@@ -162,29 +167,23 @@ class FrontierLevelStore:
         self.params = params
         self.graph = graph
         n = graph.num_vertices
-        num_levels = params.num_levels
         # The live, reader-visible levels: a plain list (fast unboxed scalar
         # reads for the read protocol and the per-move hot loops), mirrored
         # into an int64 array for the vectorised kernels.
         self.level = [0] * n
         self._level_arr = np.zeros(n, dtype=np.int64)
         self.up_deg = np.zeros(n, dtype=np.int64)
-        self._width = min(num_levels, 8)
-        self.down = np.zeros((n, self._width), dtype=np.int64)
+        self.down1 = np.zeros(n, dtype=np.int64)
         self._stamp = np.zeros(n, dtype=bool)  # scratch for bulk kernels
         self._upper, self._lower = params.threshold_arrays()
         self._lower_list = self._lower.tolist()
-        # All vertices start at level 0: every pre-existing neighbour is up.
-        for v in range(n):
-            d = graph.degree(v)
-            if d:
-                self.up_deg[v] = d
         self._graph_version = -1
         self._csr_version = -1
         self._csr_offsets = np.zeros(n + 1, dtype=np.int64)
         self._csr_targets = np.empty(0, dtype=np.int64)
         self._iota = np.arange(1024, dtype=np.int64)
         self._resync_edges()
+        self.reset()
 
     # ------------------------------------------------------------------
     # Reads
@@ -202,51 +201,6 @@ class FrontierLevelStore:
         return self._level_arr.copy()
 
     # ------------------------------------------------------------------
-    # Capacity management for the dense down matrix
-    # ------------------------------------------------------------------
-    def _width_for(self, lvl: int) -> int:
-        """The matrix width that covers level ``lvl`` (doubling growth)."""
-        num_levels = self.params.num_levels
-        width = self._width
-        while width <= lvl:
-            width = min(num_levels, max(width * 2, lvl + 1))
-        return width
-
-    def _ensure_width(self, lvl: int) -> None:
-        if lvl < self._width:
-            return
-        new = self._width_for(lvl)
-        grown = np.zeros((self.down.shape[0], new), dtype=np.int64)
-        grown[:, : self._width] = self.down
-        self.down = grown
-        self._width = new
-
-    def _down_flat(self) -> np.ndarray:
-        """``down`` as a flat writable view: cell ``(v, l)`` sits at
-        ``v * width + l``.
-
-        Scatters whose column varies per row use ``np.add.at`` on this view
-        with precomputed indices: the 2-D tuple form ``(rows, cols)`` takes
-        NumPy's multi-index path, 2.4–4× slower from ~1k indices up.
-        Re-take the view after :meth:`_ensure_width` or :meth:`load_levels`,
-        which may reallocate ``down``.
-
-        Unlike the 2-D forms, a flat index does not bounds-check its column:
-        ``l >= width`` would land in row ``v + 1`` instead of raising.  Every
-        flat scatter writes a "below" cell, whose column is a neighbour level
-        under the row vertex's own level, and every level is published only
-        after the width covers it, so ``l < level(v) < width``.
-        A level corrupted past ``width`` is therefore not caught here, but by
-        :meth:`assert_counters_consistent` (level mirror check, and any
-        neighbour level ``>= width`` counts as a mismatch).
-        """
-        flat = self.down.ravel()
-        # Every assignment to `down` allocates a fresh C-contiguous matrix,
-        # so ravel() is a view; a copy would silently drop the scatters.
-        assert flat.base is not None
-        return flat
-
-    # ------------------------------------------------------------------
     # Edge bookkeeping
     # ------------------------------------------------------------------
     def on_edge_inserted(self, u: Vertex, v: Vertex) -> None:
@@ -254,24 +208,24 @@ class FrontierLevelStore:
         lu, lv = self.level[u], self.level[v]
         if lv >= lu:
             self.up_deg[u] += 1
-        else:
-            self.down[u, lv] += 1
+        elif lv == lu - 1:
+            self.down1[u] += 1
         if lu >= lv:
             self.up_deg[v] += 1
-        else:
-            self.down[v, lu] += 1
+        elif lu == lv - 1:
+            self.down1[v] += 1
 
     def on_edge_deleted(self, u: Vertex, v: Vertex) -> None:
         """Update counters for a just-deleted edge ``(u, v)``."""
         lu, lv = self.level[u], self.level[v]
         if lv >= lu:
             self.up_deg[u] -= 1
-        else:
-            self.down[u, lv] -= 1
+        elif lv == lu - 1:
+            self.down1[u] -= 1
         if lu >= lv:
             self.up_deg[v] -= 1
-        else:
-            self.down[v, lu] -= 1
+        elif lu == lv - 1:
+            self.down1[v] -= 1
 
     def apply_edges(
         self, edges: Iterable[tuple[Vertex, Vertex]], kind: str
@@ -316,17 +270,15 @@ class FrontierLevelStore:
             _K_SCATTER.inc()
             _K_ROWS.inc(int(arr.shape[0]))
         level = self._level_arr
-        down = self._down_flat()
-        width = self._width
         for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
             la = level[a]
             lb = level[b]
             up = lb >= la
             if up.any():
                 np.add.at(self.up_deg, a[up], sign)
-            dn = ~up
-            if dn.any():
-                np.add.at(down, a[dn] * width + lb[dn], sign)
+            d1 = lb == la - 1
+            if d1.any():
+                np.add.at(self.down1, a[d1], sign)
 
     # ------------------------------------------------------------------
     # Level changes
@@ -335,8 +287,9 @@ class FrontierLevelStore:
         """Move ``v`` to ``new_level``, fixing all affected counters.
 
         Semantics identical to the object store's; the live level write
-        happens last.  Large neighbourhoods are reclassified with masked
-        array kernels, tiny ones with a scalar loop.
+        happens last.  ``v``'s own counters are recounted from its
+        neighbours, each neighbour's view of ``v`` is patched; large
+        neighbourhoods use array kernels, tiny ones a scalar loop.
         """
         old = self.level[v]
         new_level = int(new_level)
@@ -346,7 +299,6 @@ class FrontierLevelStore:
             raise ValueError(
                 f"new_level {new_level} out of range [0, {self.params.num_levels})"
             )
-        self._ensure_width(new_level)
         nbrs = self.graph.neighbors_unsafe(v)
         if len(nbrs) >= self._VECTOR_MIN_DEG:
             self._set_level_vector(v, old, new_level, nbrs)
@@ -360,70 +312,35 @@ class FrontierLevelStore:
     ) -> None:
         level = self.level
         up_deg = self.up_deg
-        down = self.down
-        moving_up = new_level > old
-        lo, hi = (old, new_level) if moving_up else (new_level, old)
+        down1 = self.down1
+        up = d1 = 0
         for w in nbrs:
             lw = level[w]
-            was_up = old >= lw
-            is_up = new_level >= lw
-            if was_up and not is_up:
-                up_deg[w] -= 1
-                down[w, new_level] += 1
-            elif not was_up and is_up:
-                down[w, old] -= 1
-                up_deg[w] += 1
-            elif not was_up and not is_up:
-                down[w, old] -= 1
-                down[w, new_level] += 1
-            if lw >= hi or lw < lo:
-                continue
-            if moving_up:
-                up_deg[v] -= 1
-                down[v, lw] += 1
-            else:
-                down[v, lw] -= 1
-                up_deg[v] += 1
+            # w's view of v: up iff ℓ(v) >= lw, one below iff ℓ(v) == lw - 1.
+            delta = (new_level >= lw) - (old >= lw)
+            if delta:
+                up_deg[w] += delta
+            delta = (new_level == lw - 1) - (old == lw - 1)
+            if delta:
+                down1[w] += delta
+            if lw >= new_level:
+                up += 1
+            elif lw == new_level - 1:
+                d1 += 1
+        up_deg[v] = up
+        down1[v] = d1
 
     def _set_level_vector(
         self, v: Vertex, old: int, new_level: int, nbrs: set
     ) -> None:
         w = np.fromiter(nbrs, count=len(nbrs), dtype=np.int64)
         lw = self._level_arr[w]
-        was_up = lw <= old
-        is_up = lw <= new_level
         # w's view of v (neighbour sets are duplicate-free, so plain fancy
-        # assignment is safe on the w side).
-        up2down = was_up & ~is_up
-        if up2down.any():
-            t = w[up2down]
-            self.up_deg[t] -= 1
-            self.down[t, new_level] += 1
-        down2up = ~was_up & is_up
-        if down2up.any():
-            t = w[down2up]
-            self.down[t, old] -= 1
-            self.up_deg[t] += 1
-        down2down = ~was_up & ~is_up
-        if down2down.any():
-            t = w[down2down]
-            self.down[t, old] -= 1
-            self.down[t, new_level] += 1
-        # v's view of w: only neighbours whose level sits between the old
-        # and new level switch sides (duplicates possible per level, so
-        # scatter with np.add.at).
-        if new_level > old:
-            crossed = (lw >= old) & (lw < new_level)
-            k = int(crossed.sum())
-            if k:
-                self.up_deg[v] -= k
-                np.add.at(self.down[v], lw[crossed], 1)
-        else:
-            crossed = (lw >= new_level) & (lw < old)
-            k = int(crossed.sum())
-            if k:
-                self.up_deg[v] += k
-                np.subtract.at(self.down[v], lw[crossed], 1)
+        # updates are safe).
+        self.up_deg[w] += (lw <= new_level).astype(np.int64) - (lw <= old)
+        self.down1[w] += (lw == new_level + 1).astype(np.int64) - (lw == old + 1)
+        self.up_deg[v] = np.count_nonzero(lw >= new_level)
+        self.down1[v] = np.count_nonzero(lw == new_level - 1)
 
     # ------------------------------------------------------------------
     # Invariant predicates
@@ -440,34 +357,34 @@ class FrontierLevelStore:
         lvl = self.level[v]
         if lvl == 0:
             return True
-        at_or_above = self.up_deg[v] + self.down[v, lvl - 1]
-        return bool(at_or_above >= self._lower[lvl])
+        return bool(self.up_deg[v] + self.down1[v] >= self._lower[lvl])
 
     def desire_level(self, v: Vertex) -> int:
-        """Max feasible level ``d <= ℓ(v)`` — descending suffix scan.
+        """Max feasible level ``d <= ℓ(v)``, from ``v``'s neighbour levels.
 
-        ``cnt(d) = up_deg(v) + Σ_{j >= d-1} down(v)[j]`` is the number of
-        neighbours at ``>= d − 1``; the answer is the highest ``d`` with
-        ``cnt(d) >= lower_threshold(d)``.  One row ``tolist`` then plain-int
-        arithmetic: levels are O(log² n), so a Python scan beats the numpy
-        fixed costs of a cumsum kernel on every realistic input.
+        With the neighbour levels sorted descending, ``lw₍₁₎ >= lw₍₂₎ >= …``,
+        level ``d`` has at least ``k`` neighbours at ``>= d − 1`` iff
+        ``d <= lw₍ₖ₎ + 1``, and ``k`` neighbours meet its threshold iff
+        ``d <= D(k)``, the highest level with ``lower_threshold <= k``
+        (thresholds never decrease).  So the answer is
+        ``max_k min(D(k), lw₍ₖ₎ + 1, ℓ(v))``, or 0 without neighbours.
         Equivalent to the object store's breakpoint scan (differentially
         tested).
         """
         lvl = self.level[v]
         if lvl == 0:
             return 0
-        m = min(lvl, self._width)
-        row = self.down[v, :m].tolist()
-        up = int(self.up_deg[v])
+        level = self.level
         lower = self._lower_list
-        suffix = 0
-        for d in range(lvl, 0, -1):
-            if d - 1 < m:
-                suffix += row[d - 1]
-            if up + suffix >= lower[d]:
-                return d
-        return 0
+        best = 0
+        lws = sorted((level[w] for w in self.graph.neighbors_unsafe(v)), reverse=True)
+        for k, lw in enumerate(lws, 1):
+            if lw + 1 <= best:
+                break  # lw₍ₖ₎ + 1 only falls from here on
+            d = min(bisect_right(lower, k) - 1, lw + 1, lvl)
+            if d > best:
+                best = d
+        return best
 
     # ------------------------------------------------------------------
     # State management
@@ -475,16 +392,7 @@ class FrontierLevelStore:
     def reset(self) -> None:
         """Zero all levels and recompute counters for the current graph
         (every vertex back at level 0)."""
-        n = self.graph.num_vertices
-        self.level[:] = [0] * n
-        self._level_arr[:] = 0
-        self.up_deg[:] = 0
-        self.down[:] = 0
-        graph = self.graph
-        for v in range(graph.num_vertices):
-            d = graph.degree(v)
-            if d:
-                self.up_deg[v] = d
+        self.load_levels(np.zeros(self.graph.num_vertices, dtype=np.int64))
 
     def load_levels(self, levels: Sequence[int]) -> None:
         """Adopt a level assignment and rebuild all counters from the graph
@@ -498,68 +406,39 @@ class FrontierLevelStore:
         self._level_arr[:] = arr
         self.level[:] = arr.tolist()
         self.up_deg[:] = 0
-        # A fresh zero matrix at the covering width: growing the old one
-        # would copy counters that are about to be discarded.
-        if n:
-            self._width = self._width_for(int(arr.max()))
-        self.down = np.zeros((n, self._width), dtype=np.int64)
+        self.down1[:] = 0
         edges = self.graph.edge_array()
         if edges.size:
             self._scatter_counters(edges, 1)
 
     def snapshot(self):
-        """O(1)-ish state snapshot: three array copies."""
+        """O(n) state snapshot: three array copies."""
         return (
-            self._level_arr.copy(), self.up_deg.copy(), self.down.copy()
+            self._level_arr.copy(), self.up_deg.copy(), self.down1.copy()
         )
 
     def restore(self, snap) -> None:
         """Restore a :meth:`snapshot` (the snapshot stays reusable).
 
-        ``level``/``up_deg`` are written in place so references held by the
-        read hot path stay valid.
+        Every array is written in place, so references held by the read
+        hot path and the round drivers stay valid.
         """
-        level, up_deg, down = snap
+        level, up_deg, down1 = snap
         self._level_arr[:] = level
         self.level[:] = level.tolist()
         self.up_deg[:] = up_deg
-        if down.shape[1] != self._width:
-            self.down = down.copy()
-            self._width = down.shape[1]
-        else:
-            self.down[:] = down
+        self.down1[:] = down1
 
     # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
-    def recompute_counters(self) -> tuple[list[int], list[dict[int, int]]]:
-        """Recompute ``up_deg`` / ``down`` from scratch, in the common
-        (list, dict-per-vertex) exchange format."""
-        n = self.graph.num_vertices
-        up = [0] * n
-        down: list[dict[int, int]] = [dict() for _ in range(n)]
-        level = self.level
-        for v in range(n):
-            lv = level[v]
-            for w in self.graph.neighbors_unsafe(v):
-                lw = level[w]
-                if lw >= lv:
-                    up[v] += 1
-                else:
-                    key = int(lw)
-                    down[v][key] = down[v].get(key, 0) + 1
-        return up, down
-
     def assert_counters_consistent(self) -> None:
         """Raise ``AssertionError`` if any counter drifted from the graph.
 
-        Whole-array, O(n + m + nnz(down)): ``up_deg`` is recomputed with one
-        ``bincount`` over the graph's CSR snapshot, and the below-level
-        neighbour counts as sorted ``(vertex, level)`` keys with counts,
-        compared against the nonzero cells of ``down`` (a neighbour level
-        outside the matrix has no cell, so it counts as a mismatch).  Only
-        on a mismatch does the per-vertex scan run, to name the first bad
-        vertex exactly as the object store's check does.
+        Whole-array, O(n + m): ``up_deg`` and ``down1`` are recomputed with
+        one ``bincount`` each over the graph's CSR snapshot.  Only on a
+        mismatch does the per-vertex scan run, to name the first bad vertex
+        exactly as the object store's check does.
         """
         mirror = self._level_arr.tolist()
         if self.level != mirror:
@@ -574,47 +453,34 @@ class FrontierLevelStore:
             self._scan_counters()
 
     def _counters_match(self) -> bool:
-        """The whole-array comparison; False may also mean "cannot tell"
-        (negative levels), which the exact scan then settles."""
+        """The whole-array comparison."""
         level = self._level_arr
         n = level.size
-        if n and level.min() < 0:
-            return False  # no key radix below; the scan names the vertex
         csr = csr_view(self.graph)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.offsets))
         ls = level[src]
         lw = level[csr.targets]
-        is_up = lw >= ls
-        if not np.array_equal(np.bincount(src[is_up], minlength=n), self.up_deg):
-            return False
-        width = self._width
-        # Keys v * span + level(w), with span above every level present.
-        span = max(width, int(level.max()) + 1 if n else 0)
-        below = ~is_up
-        keys, counts = unique(src[below] * span + lw[below], return_counts=True)
-        flat = self._down_flat()
-        cells = np.flatnonzero(flat)
         return np.array_equal(
-            keys, cells // width * span + cells % width
-        ) and np.array_equal(counts, flat[cells])
+            np.bincount(src[lw >= ls], minlength=n), self.up_deg
+        ) and np.array_equal(
+            np.bincount(src[lw == ls - 1], minlength=n), self.down1
+        )
 
     def _scan_counters(self) -> None:
         """Per-vertex counter check (raises on the first bad vertex)."""
-        up, down = self.recompute_counters()
-        width = self._width
+        level = self.level
         for v in range(self.graph.num_vertices):
-            if up[v] != int(self.up_deg[v]):
+            lv = level[v]
+            lws = [level[w] for w in self.graph.neighbors_unsafe(v)]
+            up = sum(1 for lw in lws if lw >= lv)
+            if up != int(self.up_deg[v]):
                 raise AssertionError(
-                    f"up_deg[{v}] = {int(self.up_deg[v])}, recomputed {up[v]}"
+                    f"up_deg[{v}] = {int(self.up_deg[v])}, recomputed {up}"
                 )
-            row = {
-                lvl: int(c)
-                for lvl, c in enumerate(self.down[v, :width].tolist())
-                if c
-            }
-            if down[v] != row:
+            d1 = lws.count(lv - 1)
+            if d1 != int(self.down1[v]):
                 raise AssertionError(
-                    f"down[{v}] = {row}, recomputed {down[v]}"
+                    f"down1[{v}] = {int(self.down1[v])}, recomputed {d1}"
                 )
 
     # ------------------------------------------------------------------
@@ -764,33 +630,42 @@ class FrontierLevelStore:
         """Desire levels of the Invariant-2 violators among ``cands``:
         ``(violators, desires)`` with the violators in input order.
 
-        The desire level — the highest ``d <= ℓ(v)`` whose neighbour count
-        ``up_deg + Σ_{j >= d-1} down[j]`` meets ``lower_threshold(d)`` — is
-        computed for all violators at once from a reversed-cumsum suffix
-        matrix, replacing the per-vertex descending Python scan.
+        The closed form of :meth:`desire_level` over all violators at once:
+        one sort of their neighbour levels by (violator, descending level)
+        gives each neighbour's rank ``k``; ``D(k)`` is a ``searchsorted``
+        into the threshold array, and a segmented max picks each violator's
+        level.  The rows come from the adjacency sets, not
+        :meth:`gather_rows`, so a round whose movers take the scalar path
+        leaves the CSR view unbuilt.
         """
         if _OBS.enabled:
             _K_DESIRE.inc()
             _K_ROWS.inc(int(cands.size))
         lv = self._level_arr[cands]
-        positive = lv > 0
-        below = np.where(positive, lv - 1, 0)
-        cnt0 = self.up_deg[cands] + np.where(positive, self.down[cands, below], 0)
-        viol = positive & (cnt0 < self._lower[lv])
+        # lower[0] == 0, so level-0 candidates never violate.
+        viol = self.up_deg[cands] + self.down1[cands] < self._lower[lv]
         v = cands[viol]
-        if v.size == 0:
-            return v, np.empty(0, dtype=np.int64)
-        lvl_v = lv[viol]
-        width = self._width
-        rows = self.down[v]
-        # suffix[:, j] = Σ_{k >= j} rows[:, k]; padded with a zero column at
-        # index `width` so `d - 1 >= width` contributes nothing.
-        suffix = np.zeros((len(v), width + 1), dtype=np.int64)
-        suffix[:, :width] = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
-        d = np.arange(1, int(lvl_v.max()) + 1, dtype=np.int64)
-        cnt = self.up_deg[v][:, None] + suffix[:, np.minimum(d - 1, width)]
-        feasible = (cnt >= self._lower[d][None, :]) & (d[None, :] <= lvl_v[:, None])
-        desire = np.where(feasible, d[None, :], 0).max(axis=1)
+        desire = np.zeros(v.size, dtype=np.int64)
+        nbrs = self.graph.neighbors_unsafe
+        rows = [nbrs(x) for x in v.tolist()]
+        cnt = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        total = int(cnt.sum())
+        if total:
+            num = self.params.num_levels
+            flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
+            start = np.cumsum(cnt) - cnt
+            # Sorting this key keeps each violator's rows together, in
+            # violator order, and orders them by descending level.
+            grp = np.repeat(np.arange(v.size, dtype=np.int64), cnt)
+            key = np.sort(grp * num + (num - 1 - self._level_arr[flat]))
+            lw = num - 1 - key % num
+            rank = np.arange(1, total + 1, dtype=np.int64) - start[grp]
+            reach = np.minimum(
+                np.searchsorted(self._lower, rank, side="right") - 1, lw + 1
+            )
+            has = cnt > 0
+            desire[has] = np.maximum.reduceat(reach, start[has])
+            np.minimum(desire, lv[viol], out=desire)
         return v, desire
 
     def bulk_raise_level_rows(
@@ -801,22 +676,21 @@ class FrontierLevelStore:
         (non-mover neighbours at the destination level) as a sorted array.
 
         The counter delta of a simultaneous single-level raise reduces to
-        three neighbour masks (mover–mover edges cancel: both endpoints
-        stay mutually "up"):
+        three non-mover neighbour masks (mover–mover edges change nothing:
+        both endpoints stay mutually "up", neither is the other's
+        ``ℓ − 1``):
 
-        * neighbour at ``old``   — mover loses an up-neighbour, gains
-          ``down[old]``;
-        * neighbour at ``old+1`` — neighbour's ``down[old]`` becomes an
-          up-neighbour;
-        * neighbour above        — neighbour's ``down[old]`` shifts to
-          ``down[old+1]``.
+        * neighbour at ``old``   — mover loses an up-neighbour, and these
+          are exactly its neighbours at its new ``ℓ − 1``;
+        * neighbour at ``old+1`` — the mover becomes its up-neighbour and
+          leaves its ``ℓ − 1``;
+        * neighbour at ``old+2`` — the mover reaches its ``ℓ − 1``.
 
         Equivalent to calling :meth:`set_level` once per mover (the counter
         state is a pure function of the final levels); the live level list
         is written last, after all counters.
         """
         new = old + 1
-        self._ensure_width(new)
         if _OBS.enabled:
             _K_RAISE.inc()
             _K_ROWS.inc(int(movers.size))
@@ -829,30 +703,23 @@ class FrontierLevelStore:
             f = flat[keep]
             s = src[keep]
             lw = self._level_arr[f]
-            # Single-column scatters stay on column views, which measured
-            # as fast as the flat view (see _down_flat) and faster on small
-            # rounds.  count_nonzero is the cheap emptiness test on the
-            # small masks of typical rounds.
+            # count_nonzero is the cheap emptiness test on the small masks
+            # of typical rounds.
+            self.down1[movers] = 0
             at_old = lw == old
             if np.count_nonzero(at_old):
                 t = s[at_old]
                 np.add.at(self.up_deg, t, -1)
-                np.add.at(self.down[:, old], t, 1)
-            # Neighbours above old (all at >= new) leave v's down[old]
-            # class …
-            above_old = lw > old
-            if np.count_nonzero(above_old):
-                fa = f[above_old]
-                np.add.at(self.down[:, old], fa, -1)
-                # … landing in up_deg (== new) or down[new] (> new).
-                at_new = lw[above_old] == new
-                t = fa[at_new]
-                if t.size:
-                    np.add.at(self.up_deg, t, 1)
-                    requeue = unique(t)
-                t = fa[~at_new]
-                if t.size:
-                    np.add.at(self.down[:, new], t, 1)
+                np.add.at(self.down1, t, 1)
+            at_new = lw == new
+            if np.count_nonzero(at_new):
+                t = f[at_new]
+                np.add.at(self.up_deg, t, 1)
+                np.add.at(self.down1, t, -1)
+                requeue = unique(t)
+            above = lw == new + 1
+            if np.count_nonzero(above):
+                np.add.at(self.down1, f[above], 1)
         self._level_arr[movers] = new
         level = self.level
         for v in movers.tolist():
@@ -865,50 +732,36 @@ class FrontierLevelStore:
         """Move every mover to ``lstar`` (a strict down-move) in one scatter
         pass over the pre-gathered rows.
 
-        Counter state is a pure function of the final levels, so each row
-        (``v=src[i]`` mover, ``w=flat[i]``) contributes a remove-old-class /
-        add-new-class delta to ``v``'s ledger and — for non-mover ``w`` — to
-        ``w``'s view of ``v``; mover–mover edges appear as two rows, one per
-        direction, and intermediate cancellations are harmless under
-        ``np.add.at``.  Equivalent to interleaved :meth:`set_level` calls;
+        The rows are the movers' whole adjacency, so each mover's counters
+        are recounted from its neighbours' final levels; each non-mover
+        neighbour ``w`` patches its view of every adjacent mover (an up
+        neighbour while ``lw <= ℓ(v)``, its ``ℓ − 1`` while
+        ``ℓ(v) == lw − 1``; several movers may share a ``w``, hence
+        ``np.add.at``).  Equivalent to interleaved :meth:`set_level` calls;
         the live level list is written last.
         """
-        self._ensure_width(lstar)
         if _OBS.enabled:
             _K_MOVE.inc()
             _K_ROWS.inc(int(movers.size))
         if flat.size:
+            level_arr = self._level_arr
             stamp = self._stamp
             stamp[movers] = True
             w_moves = stamp[flat]
             stamp[movers] = False
-            lw_old = self._level_arr[flat]
-            old_src = self._level_arr[src]
-            lw_new = np.where(w_moves, lstar, lw_old)
-            down = self._down_flat()
-            width = self._width
-            # v's ledger: remove w's old class, add its new class.
-            row = src * width
-            old_up = lw_old >= old_src
-            np.add.at(self.up_deg, src[old_up], -1)
-            dn = ~old_up
-            np.add.at(down, row[dn] + lw_old[dn], -1)
-            new_up = lw_new >= lstar
-            np.add.at(self.up_deg, src[new_up], 1)
-            dn = ~new_up
-            np.add.at(down, row[dn] + lw_new[dn], 1)
-            # Non-mover w's view of v (mover w rows are covered by their own
-            # symmetric row).
+            lw_new = np.where(w_moves, lstar, level_arr[flat])
+            self.up_deg[movers] = 0
+            self.down1[movers] = 0
+            np.add.at(self.up_deg, src[lw_new >= lstar], 1)
+            np.add.at(self.down1, src[lw_new == lstar - 1], 1)
             nm = ~w_moves
             t = flat[nm]
-            ov = old_src[nm]
-            lw = lw_old[nm]
-            was_up = ov >= lw
-            np.add.at(self.up_deg, t[was_up], -1)
-            np.add.at(down, t[~was_up] * width + ov[~was_up], -1)
-            is_up = lstar >= lw
-            np.add.at(self.up_deg, t[is_up], 1)
-            np.add.at(self.down[:, lstar], t[~is_up], 1)
+            ov = level_arr[src[nm]]
+            lw = lw_new[nm]
+            # lstar < ov: v stops being up for lstar < lw <= ov.
+            np.add.at(self.up_deg, t[(lw > lstar) & (lw <= ov)], -1)
+            np.add.at(self.down1, t[lw == ov + 1], -1)
+            np.add.at(self.down1, t[lw == lstar + 1], 1)
         self._level_arr[movers] = lstar
         level = self.level
         for v in movers.tolist():

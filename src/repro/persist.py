@@ -9,7 +9,7 @@ service layer's durability story:
   to a compressed numpy archive guarded by a format version and a CRC-32
   checksum, and rebuild an equivalent structure, recomputing the degree
   counters from the restored levels (they are a pure function of graph +
-  levels, see :meth:`LevelState.recompute_counters`).  Corrupted or
+  levels, see the stores' ``load_levels``).  Corrupted or
   truncated archives raise a typed
   :class:`~repro.errors.CheckpointCorruptError` instead of raw numpy/zip
   errors, so recovery code can fall back to an older checkpoint.

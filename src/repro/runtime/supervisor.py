@@ -562,7 +562,8 @@ class SupervisedCPLDS:
         pre_state = None
         if self._journal is None:
             # Persistence-free recovery restores the exact pre-batch state
-            # captured here (cheap array copies on the columnar-frontier backend).
+            # captured here: O(n + m), the edge list plus, on the
+            # columnar-frontier backend, three int64[n] counter arrays.
             pre_state = self.impl.snapshot_state()
 
         try:

@@ -264,6 +264,110 @@ class TestHypothesisDifferential:
         assert len({tuple(v) for v in final.values()}) == 1
 
 
+class TestPairBufferBound:
+    def test_buffer_stays_bounded_and_unions_match(self, monkeypatch):
+        from repro.core import frontier
+        from repro.unionfind.vectorized import VectorizedUnionFind
+
+        class Probe(frontier.FrontierMarkingHooks):
+            """Records the buffered rows at every round boundary."""
+
+            def __init__(self, cp):
+                super().__init__(cp)
+                self.appended = self.peak = 0
+
+            def _buffer_pairs(self, a, b):
+                self.appended += a.size
+                super()._buffer_pairs(a, b)
+
+            def round_boundary(self):
+                rows = sum(a.size for a, _ in self._pair_chunks)
+                assert rows == self._pair_rows
+                self.peak = max(self.peak, rows)
+
+        unions: dict = {}
+        union_pairs = VectorizedUnionFind.union_pairs
+
+        def record(uf, a, b):
+            unions.setdefault(id(uf), []).append(a * len(uf.parent) + b)
+            union_pairs(uf, a, b)
+
+        monkeypatch.setattr(VectorizedUnionFind, "union_pairs", record)
+        # A 40-clique inserted as one batch climbs ~60 levels in lockstep:
+        # every round re-derives the same 780 co-mover pairs.  It also
+        # lifts an 8-clique built by an earlier batch for a few rounds, so
+        # that clique's pairs are buffered once, early, and are not batch
+        # edges: only the compacted buffer carries them to the union.
+        n = 56
+        small = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        tail = [(7, 8)] + [(v, v + 1) for v in range(47, n - 1)]
+        clique = [(u, v) for u in range(8, 48) for v in range(u + 1, 48)]
+        links = [(i, 8 + i) for i in range(8)] + [(i, 16 + i) for i in range(8)]
+        params = LDSParams(n, levels_per_group=4)
+        impls = {
+            "object": engines.create("cplds", n, backend="object", params=params),
+            "compacted": engines.create(
+                "cplds", n, backend="columnar-frontier", params=params
+            ),
+            "uncompacted": engines.create(
+                "cplds", n, backend="columnar-frontier", params=params
+            ),
+        }
+        probe = Probe(impls["compacted"])
+        impls["compacted"].plds.hooks = probe
+        for apply, edges, compacts in (
+            ("insert_batch", small + tail, True),
+            ("insert_batch", clique + links, True),
+            ("delete_batch", clique[::2], False),
+        ):
+            observed = {}
+            for name, impl in impls.items():
+                with monkeypatch.context() as m:
+                    if name == "uncompacted":
+                        m.setattr(frontier, "_PAIR_BUFFER_EDGES", n * n)
+                    getattr(impl, apply)(edges)
+                observed[name] = (
+                    impl.last_batch_marked,
+                    impl.last_batch_dags,
+                    canonical_dag_partition(impl.last_batch_dag_map),
+                )
+            assert observed["compacted"] == observed["object"], apply
+            assert observed["uncompacted"] == observed["object"], apply
+            bound = frontier._PAIR_BUFFER_EDGES * impls["object"].graph.num_edges
+            assert (probe.appended > bound) == compacts, apply
+            assert probe.peak <= bound, apply
+            probe.appended = probe.peak = 0
+        # The same key set reaches the union in every phase.
+        compacted = unions[id(impls["compacted"]._uf)]
+        uncompacted = unions[id(impls["uncompacted"]._uf)]
+        assert len(compacted) == len(uncompacted) > 0
+        for got, want in zip(compacted, uncompacted):
+            assert np.array_equal(got, want)
+        impls["compacted"].check_invariants()
+
+
+def test_round_drivers_release_the_gil_only_beside_other_threads():
+    import math
+    import threading
+    import time
+
+    from repro.core import frontier
+
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()
+    try:
+        before = time.perf_counter()
+        due = frontier._next_yield()
+        assert before < due <= time.perf_counter() + frontier._READER_YIELD_S
+    finally:
+        stop.set()
+        other.join(timeout=5)
+    assert not other.is_alive()
+    if threading.active_count() == 1:
+        assert frontier._next_yield() == math.inf
+
+
 class TestSupervisedDifferential:
     def _run(self, backend, tmp_path, journaled):
         n = 20

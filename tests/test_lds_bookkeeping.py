@@ -8,6 +8,7 @@ object-only.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,29 @@ class TestSetLevel:
         state.assert_counters_consistent()
         assert state.up_deg[0] == 1  # only vertex 2 at level 5
         assert state.down[0] == {2: 1, 0: 1}
+
+    def test_top_level_move_grows_no_array(self):
+        # The array store's memory is set by n and m, not by the levels.
+        _, state = make_state(
+            6, [(0, 1), (1, 2), (2, 3), (3, 4)], backend="columnar-frontier"
+        )
+
+        def nbytes():
+            return sum(
+                getattr(state, name).nbytes
+                for name in type(state).__slots__
+                if isinstance(getattr(state, name), np.ndarray)
+            )
+
+        before = nbytes()
+        top = state.params.max_level
+        state.set_level(2, top)
+        state.set_level(3, top - 1)
+        state.assert_counters_consistent()
+        assert nbytes() == before
+        state.load_levels([top] * 6)
+        state.assert_counters_consistent()
+        assert nbytes() == before
 
     def test_get_level_reads_live(self):
         _, state = make_state(2)
@@ -328,6 +352,17 @@ class TestProperties:
                 assert feasible(d)
                 for dd in range(d + 1, lvl + 1):
                     assert not feasible(dd)
+            if hasattr(state, "bulk_desire_levels_arr"):
+                # The whole-frontier kernel: the same level for every
+                # Invariant-2 violator.
+                viols, desires = state.bulk_desire_levels_arr(
+                    np.arange(n, dtype=np.int64)
+                )
+                assert dict(zip(viols.tolist(), desires.tolist())) == {
+                    v: state.desire_level(v)
+                    for v in range(n)
+                    if not state.satisfies_invariant2(v)
+                }
 
     @settings(max_examples=50, deadline=None)
     @given(level_scripts())
@@ -370,11 +405,11 @@ def _brute_force_first_fault(state):
                 below[lw] = below.get(lw, 0) + 1
         if up != int(state.up_deg[v]):
             return AssertionError, v
-        if isinstance(state.down[v], dict):
-            row = dict(state.down[v])
-        else:
-            row = {lvl: int(c) for lvl, c in enumerate(state.down[v].tolist()) if c}
-        if row != below:
+        if hasattr(state, "down1"):
+            # The array store counts only the neighbours at ℓ(v) − 1.
+            if int(state.down1[v]) != below.get(levels[v] - 1, 0):
+                return AssertionError, v
+        elif state.down[v] != below:
             return AssertionError, v
     params = state.params
     for v in range(n):
@@ -404,8 +439,8 @@ def _checker_fault(state):
 
 
 # A 12-clique and a 7-clique joined by one edge, plus a sparse tail: the
-# cliques settle at different levels past the initial down-matrix width of
-# 8 columns, so the joining edge is counted in a column >= 8.
+# cliques settle at different levels >= 9, so the joining edge is counted
+# in a below-level cell >= 8.
 _GRAPH = (
     [(u, v) for u in range(12) for v in range(u + 1, 12)]
     + [(u, v) for u in range(12, 19) for v in range(u + 1, 19)]
@@ -436,12 +471,12 @@ def _bump_up_deg(state):
 
 
 def _bump_high_down_cell(state):
-    v, col = _high_down_cell(state)
-    if isinstance(state.down[v], dict):
-        state.down[v][col] += 1
+    if hasattr(state, "down1"):
+        v = next(v for v in range(len(state.level)) if state.level[v] >= 9)
+        state.down1[v] += 1
     else:
-        assert state.down.shape[1] > col
-        state.down[v, col] += 1
+        v, col = _high_down_cell(state)
+        state.down[v][col] += 1
 
 
 def _move_behind_counters(state):
@@ -484,13 +519,13 @@ class TestWholeArrayCheckers:
         assert expected is not None
         assert _checker_fault(state) == expected
 
-    def test_neighbour_level_outside_down_matrix_is_a_mismatch(self):
-        # A level written behind the store's back past the matrix width:
-        # the recomputed count has no cell to match.
+    def test_far_level_behind_the_store_is_a_mismatch(self):
+        # A level written behind the store's back, far above every other
+        # level: the counters no longer match the graph.
         state = _sound_state("columnar-frontier")
-        width = state.down.shape[1]
-        state.level[20] = width + 1
-        state._level_arr[20] = width + 1
+        far = max(state.level) + 10
+        state.level[20] = far
+        state._level_arr[20] = far
         with pytest.raises(AssertionError):
             state.assert_counters_consistent()
         assert _checker_fault(state) == _brute_force_first_fault(state)
@@ -509,12 +544,10 @@ class TestWholeArrayCheckers:
             _, state = make_state(n, edges, levels_per_group=4, backend=be)
             for u, lvl in moves:
                 state.set_level(u, min(lvl, state.params.max_level))
-            if isinstance(state.down[v], dict):
+            if hasattr(state, "down1"):
+                state.down1[v] += delta
+            else:
                 state.down[v][col] = state.down[v].get(col, 0) + delta
                 if state.down[v][col] == 0:
                     del state.down[v][col]
-            elif col < state.down.shape[1]:
-                state.down[v, col] += delta
-            else:
-                state.up_deg[v] += delta
             assert _checker_fault(state) == _brute_force_first_fault(state), be

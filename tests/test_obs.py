@@ -307,12 +307,6 @@ ENGINE_COUNTERS = (
     "cplds_marked_total",
     "cplds_dags_total",
 )
-#: Plus the per-mark / per-link counters of the descriptor marking engine
-#: (repro.core.marking), which the frontier engine does not run.
-DETERMINISTIC_COUNTERS = ENGINE_COUNTERS + (
-    "marking_marks_total",
-    "marking_dag_merges_total",
-)
 
 
 def test_backends_report_identical_work_counters():
@@ -336,7 +330,7 @@ def test_backends_report_identical_work_counters():
         cp.insert_batch(stream[300:])
         return {
             name: obs.REGISTRY.counter_value(name)
-            for name in DETERMINISTIC_COUNTERS
+            for name in ENGINE_COUNTERS
         }
 
     obs.enable()
@@ -346,10 +340,7 @@ def test_backends_report_identical_work_counters():
     # The frontier engine the registry builds for the array store.
     frontier = engines.create("cplds", n, backend="columnar-frontier")
     assert type(frontier).__name__ == "FrontierCPLDS"
-    got = counters(frontier)
-    assert {k: got[k] for k in ENGINE_COUNTERS} == {
-        k: reference[k] for k in ENGINE_COUNTERS
-    }
+    assert counters(frontier) == reference
     assert reference["plds_moves_total"] > 0
     assert reference["cplds_batches_total"] == 3
 
