@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.harness.report import format_table
 from repro.unionfind.sequential import SequentialUnionFind
-from repro.unionfind.variants import FIND_STRATEGIES, VariantUnionFind
+from repro.unionfind.concurrent import FIND_STRATEGIES, ConcurrentUnionFind
 from repro.unionfind.vectorized import VectorizedUnionFind
 
 
@@ -41,7 +41,7 @@ def dag_workload(n=4096, unions=6000, finds=40000, seed=0):
 
 
 def run(strategy, n, ops):
-    uf = VariantUnionFind(n, find_strategy=strategy)
+    uf = ConcurrentUnionFind(n, find_strategy=strategy)
     for kind, a, b in ops:
         if kind == "u":
             uf.union(a, b)
@@ -68,7 +68,7 @@ def test_find_strategy_work(benchmark, emit):
     # ...and results agree regardless of strategy (semantic check).
     reps = {}
     for strategy in FIND_STRATEGIES:
-        uf = VariantUnionFind(n, find_strategy=strategy)
+        uf = ConcurrentUnionFind(n, find_strategy=strategy)
         for kind, a, b in ops:
             if kind == "u":
                 uf.union(a, b)

@@ -78,25 +78,14 @@ class ReadResult:
 class _MarkingHooks(UpdateHooks):
     """PLDS hooks implementing the paper's marking discipline."""
 
-    __slots__ = ("cp", "_phase")
+    __slots__ = ("cp",)
 
     def __init__(self, cp: "CPLDS") -> None:
         self.cp = cp
-        self._phase: Phase = "insert"
 
     def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
         cp = self.cp
-        self._phase = kind
-        # Incremented at the start of every batch (Algorithm 1).  A plain
-        # int increment on the update thread; reader loads are GIL-atomic.
-        cp.batch_number += 1
-        if _REC.enabled:
-            _REC.record(
-                _EV.BATCH_BEGIN,
-                cp.batch_number,
-                0 if kind == "insert" else 1,
-                len(edges),
-            )
+        cp._begin_phase(kind, edges)
         partners: dict[Vertex, list[Vertex]] = {}
         for u, v in edges:
             partners.setdefault(u, []).append(v)
@@ -138,23 +127,11 @@ class _MarkingHooks(UpdateHooks):
     def batch_end(self) -> None:
         cp = self.cp
         dags = cp.descriptors.dag_members()
-        cp.last_batch_marked = len(cp.descriptors.marked_vertices)
-        cp.last_batch_dags = len(dags)
-        cp.last_batch_dag_map = {
-            v: root for root, members in dags.items() for v in members
-        }
-        if _OBS.enabled:
-            _BATCHES.inc()
-            _MARKED.inc(cp.last_batch_marked)
-            _DAGS.inc(cp.last_batch_dags)
-        if _REC.enabled:
-            _REC.record(
-                _EV.BATCH_END,
-                cp.batch_number,
-                cp.last_batch_marked,
-                cp.last_batch_dags,
-                cp.plds.last_batch_moves,
-            )
+        cp._end_phase(
+            len(cp.descriptors.marked_vertices),
+            len(dags),
+            {v: root for root, members in dags.items() for v in members},
+        )
         cp.descriptors.unmark_all(cp.plds.executor.run_round)
         cp._batch_partners = {}
         cp._publish_epoch()
@@ -282,6 +259,52 @@ class CPLDS:
                 rounds=self.plds.last_batch_rounds,
             )
             return counts
+
+    # ------------------------------------------------------------------
+    # Phase bookkeeping (shared by both engines' marking hooks)
+    # ------------------------------------------------------------------
+    def _begin_phase(self, kind: Phase, edges: Sequence[Edge]) -> None:
+        """Open one insert or delete phase, before any vertex moves.
+
+        The batch number is incremented at the start of every batch
+        (Algorithm 1): a plain int increment on the update thread, whose
+        reader loads are GIL-atomic.
+        """
+        self.batch_number += 1
+        if _REC.enabled:
+            _REC.record(
+                _EV.BATCH_BEGIN,
+                self.batch_number,
+                0 if kind == "insert" else 1,
+                len(edges),
+            )
+
+    def _end_phase(
+        self, marked: int, dags: int, dag_map: dict[Vertex, Vertex]
+    ) -> None:
+        """Record the phase's marking totals, before unmarking.
+
+        Sets the ``last_batch_*`` fields, feeds the ``cplds_*_total``
+        counters, adds ``marked``/``dags`` to the open ``plds.*_phase``
+        span and logs ``BATCH_END``; the hooks then unmark and call
+        :meth:`_publish_epoch`.
+        """
+        self.last_batch_marked = marked
+        self.last_batch_dags = dags
+        self.last_batch_dag_map = dag_map
+        if _OBS.enabled:
+            _BATCHES.inc()
+            _MARKED.inc(marked)
+            _DAGS.inc(dags)
+            _OBS.current_span().set(marked=marked, dags=dags)
+        if _REC.enabled:
+            _REC.record(
+                _EV.BATCH_END,
+                self.batch_number,
+                marked,
+                dags,
+                self.plds.last_batch_moves,
+            )
 
     def _publish_epoch(self) -> None:
         """Publish this epoch's level snapshot to the attached read tier.
@@ -417,35 +440,6 @@ class CPLDS:
                 retries,
             )
         return result
-
-    # ------------------------------------------------------------------
-    # Marking support
-    # ------------------------------------------------------------------
-    def _related_marked(self, v: Vertex, phase: Phase) -> list[Vertex]:
-        """Triggers ∪ marked batch neighbours of ``v`` (Algorithm 2, line 4).
-
-        Insertions: marked graph neighbours at ``v``'s level or higher.
-        Deletions: marked graph neighbours strictly below ``ℓ(v) − 1``.
-        Plus, in both phases, every marked endpoint of a batch edge incident
-        to ``v`` (which is what keeps updated edges inside a single DAG,
-        Lemma 6.3).
-        """
-        state = self.plds.state
-        table = self.descriptors
-        lv = state.level[v]
-        related: list[Vertex] = []
-        if phase == "insert":
-            for w in self.plds.graph.neighbors_unsafe(v):
-                if state.level[w] >= lv and table.is_marked(w):
-                    related.append(w)
-        else:
-            for w in self.plds.graph.neighbors_unsafe(v):
-                if state.level[w] < lv - 1 and table.is_marked(w):
-                    related.append(w)
-        for w in self._batch_partners.get(v, ()):
-            if table.is_marked(w):
-                related.append(w)
-        return related
 
     # ------------------------------------------------------------------
     # Quiescent conveniences

@@ -50,9 +50,6 @@ import numpy as np
 from repro.core.cplds import (
     CPLDS,
     ReadResult,
-    _BATCHES,
-    _DAGS,
-    _MARKED,
     _READ_RETRIES,
     _READS_VERBOSE,
     _RETRY_HIST,
@@ -336,13 +333,10 @@ class FrontierMarkingHooks(UpdateHooks):
 
     supports_bulk_moves = True
 
-    __slots__ = (
-        "cp", "_phase", "_edges", "_pair_chunks", "_pair_rows", "_pairs_scalar"
-    )
+    __slots__ = ("cp", "_edges", "_pair_chunks", "_pair_rows", "_pairs_scalar")
 
     def __init__(self, cp: "FrontierCPLDS") -> None:
         self.cp = cp
-        self._phase: Phase = "insert"
         self._edges: Sequence[Edge] = ()
         self._pair_chunks: list[tuple[np.ndarray, np.ndarray]] = []
         self._pair_rows = 0
@@ -350,16 +344,7 @@ class FrontierMarkingHooks(UpdateHooks):
 
     # -- phase boundaries ----------------------------------------------
     def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
-        cp = self.cp
-        self._phase = kind
-        cp.batch_number += 1
-        if _REC.enabled:
-            _REC.record(
-                _EV.BATCH_BEGIN,
-                cp.batch_number,
-                0 if kind == "insert" else 1,
-                len(edges),
-            )
+        self.cp._begin_phase(kind, edges)
         self._edges = edges
         self._clear_pairs()
 
@@ -497,21 +482,11 @@ class FrontierMarkingHooks(UpdateHooks):
                 _REC.record(_EV.DAG_MERGE, -1, int(key.size))
         marked_idx = np.flatnonzero(marked)
         roots = uf.find_many(marked_idx)
-        cp.last_batch_marked = int(marked_idx.size)
-        cp.last_batch_dags = int(unique(roots).size)
-        cp.last_batch_dag_map = dict(zip(marked_idx.tolist(), roots.tolist()))
-        if _OBS.enabled:
-            _BATCHES.inc()
-            _MARKED.inc(cp.last_batch_marked)
-            _DAGS.inc(cp.last_batch_dags)
-        if _REC.enabled:
-            _REC.record(
-                _EV.BATCH_END,
-                cp.batch_number,
-                cp.last_batch_marked,
-                cp.last_batch_dags,
-                cp.plds.last_batch_moves,
-            )
+        cp._end_phase(
+            int(marked_idx.size),
+            int(unique(roots).size),
+            dict(zip(marked_idx.tolist(), roots.tolist())),
+        )
         # Same executor accounting as DescriptorTable.unmark_all's three
         # parfor rounds (classify / clear roots / clear rest).
         executor = cp.plds.executor

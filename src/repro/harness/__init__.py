@@ -8,17 +8,9 @@ these drivers.
 """
 
 from repro.harness.stats import LatencyStats, percentile, summarize_latencies
-from repro.harness.telemetry import (
-    BatchTelemetry,
-    ServiceTelemetry,
-    TelemetryCollector,
-)
 
 __all__ = [
     "LatencyStats",
     "percentile",
     "summarize_latencies",
-    "BatchTelemetry",
-    "ServiceTelemetry",
-    "TelemetryCollector",
 ]

@@ -53,7 +53,7 @@ class ExperimentConfig:
     #: Thread counts for the Fig 7 sweeps.
     thread_counts: tuple[int, ...] = (1, 2, 4, 8, 15)
     #: Level-store backend every impl is built on
-#: (``"object"`` | ``"columnar"`` | ``"columnar-frontier"``).
+    #: (``"object"`` | ``"columnar-frontier"``).
     backend: str = "object"
     #: Fraction of each phase's leading batches whose in-flight reads are
     #: trimmed as warmup before latency aggregation (Fig 3).  0 disables.

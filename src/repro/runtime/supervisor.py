@@ -22,7 +22,7 @@ supervisor implementing the recovery contract documented in
   across faults;
 * the service's condition is surfaced as a **health state machine**
   (HEALTHY → RECOVERING → DEGRADED → FAILED) whose transitions and counters
-  live in :class:`~repro.harness.telemetry.ServiceTelemetry`.
+  live in :class:`ServiceTelemetry`.
 
 :class:`SupervisedCPLDS` is the synchronous engine (single update thread —
 deterministic, which the chaos harness in :mod:`repro.runtime.chaos` relies
@@ -46,7 +46,6 @@ from repro.errors import (
     PoisonUpdateError,
     ServiceFailedError,
 )
-from repro.harness.telemetry import ServiceTelemetry
 from repro.obs import REGISTRY as _OBS
 from repro.obs.flightrec import RECORDER as _REC, EventType as _EV
 from repro.obs.staleness import (
@@ -107,6 +106,105 @@ _ALLOWED_TRANSITIONS = {
                            HealthState.FAILED},
     HealthState.FAILED: set(),
 }
+
+
+#: ServiceTelemetry counter fields mirrored into the registry as
+#: ``service_<name>_total``.
+_SERVICE_COUNTER_FIELDS = (
+    "batches_applied",
+    "batch_failures",
+    "retries",
+    "recoveries",
+    "bisections",
+    "poison_updates",
+    "checkpoints_written",
+    "checkpoints_rejected",
+    "journal_records",
+    "stale_reads",
+)
+
+_SERVICE_COUNTERS = {
+    name: _OBS.counter(f"service_{name}_total") for name in _SERVICE_COUNTER_FIELDS
+}
+_SERVICE_FIELD_SET = frozenset(_SERVICE_COUNTER_FIELDS)
+
+
+@dataclass
+class ServiceTelemetry:
+    """Operational counters for the supervised service layer.
+
+    Maintained by :class:`SupervisedCPLDS`; the counters answer the
+    on-call questions (is the service healthy, how many
+    recoveries/retries/quarantines has it absorbed, how stale are degraded
+    reads), and ``transitions`` is the audit log of the health state machine
+    (pairs of state names, oldest first).
+
+    The dataclass fields are the per-instance record and work with the
+    registry off.  While observability is enabled, every positive counter
+    delta is also mirrored process-wide as ``service_<name>_total`` and
+    each health transition increments
+    ``service_health_transitions_total{from=...,to=...}``.
+    """
+
+    batches_applied: int = 0
+    batch_failures: int = 0
+    retries: int = 0
+    recoveries: int = 0
+    bisections: int = 0
+    poison_updates: int = 0
+    checkpoints_written: int = 0
+    checkpoints_rejected: int = 0
+    journal_records: int = 0
+    stale_reads: int = 0
+    #: Largest snapshot age (in batch epochs) any stale read was served at.
+    #: A max, not a counter — kept out of ``_SERVICE_COUNTER_FIELDS`` and
+    #: mirrored as the gauge ``service_stale_read_age_epochs_max`` instead.
+    stale_read_max_age: int = 0
+    #: Health state machine audit log: (from-state, to-state) names.
+    transitions: list[tuple[str, str]] = field(default_factory=list)
+
+    def __setattr__(self, name: str, value) -> None:
+        # Mirror positive deltas of the counter fields into the registry
+        # (the dataclass __init__ also lands here; the default 0 is a
+        # zero-delta no-op, explicit non-zero starts are mirrored as-is).
+        if _OBS.enabled and name in _SERVICE_FIELD_SET:
+            delta = value - getattr(self, name, 0)
+            if delta > 0:
+                _SERVICE_COUNTERS[name].inc(delta)
+        object.__setattr__(self, name, value)
+
+    def note_stale_read_age(self, age: int) -> None:
+        """Track the worst snapshot age served to a degraded read."""
+        if age > self.stale_read_max_age:
+            self.stale_read_max_age = age
+            if _OBS.enabled:
+                _OBS.set_gauge("service_stale_read_age_epochs_max", age)
+
+    def record_transition(self, old: str, new: str) -> None:
+        """Append one health transition to the audit log."""
+        self.transitions.append((old, new))
+        if _OBS.enabled:
+            _OBS.inc(
+                "service_health_transitions_total",
+                labels={"from": old, "to": new},
+            )
+
+    def as_dict(self) -> dict[str, int]:
+        """Plain counter snapshot (transitions reported as a count)."""
+        return {
+            "batches_applied": self.batches_applied,
+            "batch_failures": self.batch_failures,
+            "retries": self.retries,
+            "recoveries": self.recoveries,
+            "bisections": self.bisections,
+            "poison_updates": self.poison_updates,
+            "checkpoints_written": self.checkpoints_written,
+            "checkpoints_rejected": self.checkpoints_rejected,
+            "journal_records": self.journal_records,
+            "stale_reads": self.stale_reads,
+            "stale_read_max_age": self.stale_read_max_age,
+            "transitions": len(self.transitions),
+        }
 
 
 @dataclass(frozen=True)

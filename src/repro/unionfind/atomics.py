@@ -1,119 +1,35 @@
-"""Atomic primitives: CAS cells emulated with striped locks.
+"""Striped locks: the compare-and-swap substitute.
 
 CPython offers no user-level compare-and-swap, so — per the substitution
-table in DESIGN.md — a CAS is encoded as a read-modify-write under a lock.
-This is *semantically* identical to a hardware CAS (it is atomic with respect
-to every other accessor of the same cell and supports the usual retry-loop
-idioms); what it costs is the lock acquisition, which we keep cheap by
-striping a fixed pool of locks across cells instead of allocating one lock
-per cell per batch.
+table in DESIGN.md — a CAS is encoded as a read-modify-write under a lock:
+compare the slot with the expected value and write the new one while
+holding the lock.  This is *semantically* identical to a hardware CAS (it
+is atomic with respect to every other CAS on the same slot and supports
+the usual retry-loop idioms); what it costs is the lock acquisition, which
+we keep cheap by striping a fixed pool of locks across slots instead of
+allocating one lock per slot.
 
 Plain loads and stores of Python object references are already atomic under
-the GIL, so ``load``/``store`` are direct attribute accesses.
+the GIL, so readers take no lock.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-from typing import Any, Generic, TypeVar
 
-T = TypeVar("T")
-
-#: Number of striped locks shared by all AtomicCell instances.  64 matches a
+#: Number of striped locks shared by every CAS site.  64 matches a
 #: plausible cache-line-sharding factor and keeps contention negligible for
 #: the thread counts this library runs (≤ ~32).
 _NUM_STRIPES = 64
 _STRIPES = [threading.Lock() for _ in range(_NUM_STRIPES)]
-_stripe_counter = itertools.count()
-
-
-class AtomicCell(Generic[T]):
-    """A single mutable cell with atomic ``compare_exchange``.
-
-    >>> cell = AtomicCell(0)
-    >>> cell.compare_exchange(0, 5)
-    True
-    >>> cell.compare_exchange(0, 7)
-    False
-    >>> cell.load()
-    5
-    """
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self, value: T) -> None:
-        self._value = value
-        self._lock = _STRIPES[next(_stripe_counter) % _NUM_STRIPES]
-
-    def load(self) -> T:
-        """Atomic read (a GIL-atomic attribute load)."""
-        return self._value
-
-    def store(self, value: T) -> None:
-        """Atomic unconditional write."""
-        self._value = value
-
-    def compare_exchange(self, expected: T, new: T) -> bool:
-        """Atomically set the cell to ``new`` iff it currently equals
-        ``expected`` (identity-or-equality: ``is`` first, ``==`` fallback);
-        return whether the swap happened."""
-        with self._lock:
-            cur = self._value
-            if cur is expected or cur == expected:
-                self._value = new
-                return True
-            return False
-
-    def swap(self, new: T) -> T:
-        """Atomically replace the value, returning the previous one."""
-        with self._lock:
-            old = self._value
-            self._value = new
-            return old
-
-
-class AtomicCounter:
-    """A monotonically adjustable integer with atomic fetch-and-add.
-
-    Used for batch numbers and telemetry counters shared across threads.
-    """
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self, value: int = 0) -> None:
-        self._value = value
-        self._lock = threading.Lock()
-
-    def load(self) -> int:
-        return self._value
-
-    def fetch_add(self, delta: int = 1) -> int:
-        """Add ``delta``; return the value *before* the addition."""
-        with self._lock:
-            old = self._value
-            self._value = old + delta
-            return old
-
-    def add(self, delta: int = 1) -> int:
-        """Add ``delta``; return the value *after* the addition."""
-        return self.fetch_add(delta) + delta
-
-
-def cas_slot(owner: Any, attr: str, expected: Any, new: Any, lock: threading.Lock) -> bool:
-    """CAS an arbitrary attribute under an external lock.
-
-    Helper for structures (like descriptors) whose fields are CAS'd without
-    wrapping each field in an :class:`AtomicCell`.
-    """
-    with lock:
-        cur = getattr(owner, attr)
-        if cur is expected or cur == expected:
-            setattr(owner, attr, new)
-            return True
-        return False
 
 
 def stripe_lock_for(index: int) -> threading.Lock:
-    """A deterministic striped lock for an integer key (e.g. a vertex id)."""
+    """A deterministic striped lock for an integer key (e.g. a vertex id).
+
+    >>> stripe_lock_for(3) is stripe_lock_for(3 + _NUM_STRIPES)
+    True
+    >>> stripe_lock_for(3) is stripe_lock_for(4)
+    False
+    """
     return _STRIPES[index % _NUM_STRIPES]

@@ -3,15 +3,29 @@
 This follows the structure of the Jayanti–Tarjan concurrent disjoint-set
 algorithms the paper reuses via ConnectIt [28, 47]: ``union`` finds the two
 roots, then tries to CAS the larger-id root's parent pointer from *self* to
-the smaller root, retrying from fresh ``find``s on contention.  ``find``
-performs path compression by CAS (a failed compression write is simply
-skipped — some other thread already installed an equal-or-better parent).
+the smaller root, retrying from fresh ``find``s on contention.  A failed
+CAS in a path-shortening ``find`` write is simply skipped — some other
+thread already installed an equal-or-better parent.
+
+ConnectIt is a *framework* of find strategies; the slice reproduced here
+lets ``benchmarks/bench_unionfind.py`` measure the choice the CPLDS depends
+on:
+
+* ``naive`` — no writes;
+* ``compress`` — full path compression (the default, and what the paper's
+  implementation uses);
+* ``split`` — path splitting: every node re-points to its grandparent;
+* ``halve`` — path halving: every other node re-points.
+
+The link strategy is fixed (deterministic min-id roots are what the
+descriptor DAGs need), so every strategy yields the same partition and the
+same representatives; they differ in pointer-chase length and write traffic.
 
 Safety properties relied on by the CPLDS descriptor DAGs (and tested in
 ``tests/test_unionfind.py``):
 
 * the parent graph is acyclic at all times (links always point to a strictly
-  smaller root id at link time; compression writes only ancestors);
+  smaller root id at link time; path writes only install ancestors);
 * once two elements are in the same set they stay in the same set;
 * concurrent unions of overlapping sets converge to the same min-id
   representative as a sequential execution of any interleaving.
@@ -19,15 +33,13 @@ Safety properties relied on by the CPLDS descriptor DAGs (and tested in
 
 from __future__ import annotations
 
-from repro.obs import REGISTRY as _OBS
+from typing import Callable, Literal
+
 from repro.unionfind.atomics import stripe_lock_for
 
-# Cached metric handles; every site below is guarded by ``_OBS.enabled``
-# so the disabled cost is one branch per operation.
-_FINDS = _OBS.counter("unionfind_finds_total")
-_UNIONS = _OBS.counter("unionfind_unions_total")
-_COMPRESSIONS = _OBS.counter("unionfind_compressions_total")
-_UNION_RETRIES = _OBS.counter("unionfind_union_retries_total")
+FindStrategy = Literal["naive", "compress", "split", "halve"]
+
+FIND_STRATEGIES: tuple[FindStrategy, ...] = ("naive", "compress", "split", "halve")
 
 
 class ConcurrentUnionFind:
@@ -36,14 +48,29 @@ class ConcurrentUnionFind:
     The parent array is a plain Python list (element loads/stores are
     GIL-atomic); CAS on a slot is emulated with striped locks, per the
     DESIGN.md substitution rules.
+
+    >>> uf = ConcurrentUnionFind(4, find_strategy="halve")
+    >>> uf.union(3, 1)
+    1
+    >>> uf.find(3)
+    1
     """
 
-    __slots__ = ("parent",)
+    __slots__ = ("parent", "find_strategy", "_find", "pointer_hops")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, find_strategy: FindStrategy = "compress") -> None:
         if n < 0:
             raise ValueError("n must be >= 0")
+        if find_strategy not in FIND_STRATEGIES:
+            raise ValueError(
+                f"unknown find strategy {find_strategy!r}; "
+                f"choose from {FIND_STRATEGIES}"
+            )
         self.parent = list(range(n))
+        self.find_strategy = find_strategy
+        self._find: Callable[[int], int] = getattr(self, f"_find_{find_strategy}")
+        #: Total parent-pointer dereferences (work metric for the bench).
+        self.pointer_hops = 0
 
     # ------------------------------------------------------------------
     # CAS on a parent slot
@@ -56,18 +83,23 @@ class ConcurrentUnionFind:
             return False
 
     # ------------------------------------------------------------------
-    # Operations
+    # Find strategies
     # ------------------------------------------------------------------
-    def find(self, x: int) -> int:
-        """Current representative of ``x``, compressing the traversed path.
+    def _find_naive(self, x: int) -> int:
+        parent = self.parent
+        while True:
+            p = parent[x]
+            self.pointer_hops += 1
+            if p == x:
+                return x
+            x = p
 
-        Wait-free for a fixed set of completed unions; lock-free in general
-        (a retry implies another thread completed a link).
-        """
+    def _find_compress(self, x: int) -> int:
         parent = self.parent
         root = x
         while True:
             p = parent[root]
+            self.pointer_hops += 1
             if p == root:
                 break
             root = p
@@ -75,19 +107,51 @@ class ConcurrentUnionFind:
         # Races are benign — we only overwrite values we just observed, and
         # the observed parent is always an ancestor of the node.
         node = x
-        compressed = 0
         while node != root:
             p = parent[node]
             if p == root:
                 break
-            if self._cas_parent(node, p, root):
-                compressed += 1
+            self._cas_parent(node, p, root)
             node = p
-        if _OBS.enabled:
-            _FINDS.inc()
-            if compressed:
-                _COMPRESSIONS.inc(compressed)
         return root
+
+    def _find_split(self, x: int) -> int:
+        """Path splitting: point every traversed node at its grandparent."""
+        parent = self.parent
+        while True:
+            p = parent[x]
+            self.pointer_hops += 1
+            if p == x:
+                return x
+            gp = parent[p]
+            if gp != p:
+                self._cas_parent(x, p, gp)
+            x = p
+
+    def _find_halve(self, x: int) -> int:
+        """Path halving: like splitting, but hop to the grandparent."""
+        parent = self.parent
+        while True:
+            p = parent[x]
+            self.pointer_hops += 1
+            if p == x:
+                return x
+            gp = parent[p]
+            if gp == p:
+                return p
+            self._cas_parent(x, p, gp)
+            x = gp
+
+    # ------------------------------------------------------------------
+    # Operations
+    # ------------------------------------------------------------------
+    def find(self, x: int) -> int:
+        """Current representative of ``x`` under the configured strategy.
+
+        Wait-free for a fixed set of completed unions; lock-free in general
+        (a retry implies another thread completed a link).
+        """
+        return self._find(x)
 
     def union(self, a: int, b: int) -> int:
         """Merge the sets of ``a`` and ``b``; return the representative.
@@ -95,18 +159,13 @@ class ConcurrentUnionFind:
         The retry loop is the standard lock-free pattern: a failed CAS means
         a concurrent link changed one of the roots, so re-``find`` and retry.
         """
-        if _OBS.enabled:
-            _UNIONS.inc()
         while True:
-            ra, rb = self.find(a), self.find(b)
+            ra, rb = self._find(a), self._find(b)
             if ra == rb:
                 return ra
             winner, loser = (ra, rb) if ra < rb else (rb, ra)
             if self._cas_parent(loser, loser, winner):
                 return winner
-            # Contention: someone linked `loser` elsewhere; retry from finds.
-            if _OBS.enabled:
-                _UNION_RETRIES.inc()
 
     def same_set(self, a: int, b: int) -> bool:
         """Whether ``a`` and ``b`` are in the same set.
@@ -114,7 +173,7 @@ class ConcurrentUnionFind:
         Only a stable answer when no concurrent unions straddle the call —
         exactly the quiescence the CPLDS guarantees when it queries DAGs.
         """
-        return self.find(a) == self.find(b)
+        return self._find(a) == self._find(b)
 
     def roots(self) -> list[int]:
         """All current representatives (quiescent use)."""

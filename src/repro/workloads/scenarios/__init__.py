@@ -1,9 +1,8 @@
 """``repro.workloads.scenarios`` — the declarative scenario layer.
 
-A scenario spec (JSON or the YAML subset of
-:mod:`~repro.workloads.scenarios.yamlish`) composes a graph shape, a
-temporal traffic pattern, a read/write mix, and an optional fault
-schedule into one reproducible, scored experiment; the runner executes
+A JSON scenario spec composes a graph shape, a temporal traffic
+pattern, a read/write mix, and an optional fault schedule into one
+reproducible, scored experiment; the runner executes
 any spec on any registered engine backend and emits a deterministic
 JSONL report row.  The bundled catalog (``catalog/``) covers the paper's
 figures plus the robustness scenarios, and CI runs it as the standard

@@ -13,7 +13,7 @@ The standard sweep substrate (see ``docs/scenarios.md``)::
         --backend all --smoke --strict
 
     # One ad-hoc spec file:
-    python -m repro.workloads.scenarios --spec my-scenario.yaml
+    python -m repro.workloads.scenarios --spec my-scenario.json
 
 Exit status: 0 on success; 1 on a hard failure (fault-path oracle
 mismatch or FAILED health), and — with ``--strict`` — also on any SLO

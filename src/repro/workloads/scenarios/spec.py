@@ -7,10 +7,9 @@ batches arrive over time, including the adversarial constructions from
 :mod:`repro.workloads.adversarial`), a **read/write mix** (live sandwich
 reads and epoch-pinned bulk reads through :mod:`repro.reads`), and an
 optional **fault schedule** (the :mod:`repro.runtime.chaos` fault kinds at
-declared batch indices).  Specs are plain JSON or the YAML subset of
-:mod:`repro.workloads.scenarios.yamlish`; every field is validated with a
-loud :class:`SpecError` naming the offending path, so a bad spec fails at
-load time, never mid-run.
+declared batch indices).  Specs are plain JSON; every field is validated
+with a loud :class:`SpecError` naming the offending path, so a bad spec
+fails at load time, never mid-run.
 
 The checked-in catalog lives next to this module (``catalog/``); see
 ``docs/scenarios.md`` for the full field reference.
@@ -29,7 +28,6 @@ from repro.errors import WorkloadError
 from repro.graph import generators
 from repro.obs.staleness import DEFAULT_SLOS, SLOTarget
 from repro.types import Edge
-from repro.workloads.scenarios import yamlish
 
 __all__ = [
     "FAULT_KINDS",
@@ -609,22 +607,13 @@ class ScenarioSpec:
 # Loaders and the bundled catalog
 # ---------------------------------------------------------------------------
 
-def _parse_text(text: str, source: str) -> Any:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{source}: invalid JSON ({exc})") from None
-    try:
-        return yamlish.parse(text)
-    except yamlish.ParseError as exc:
-        raise SpecError(f"{source}: {exc}") from None
-
-
 def parse_scenario(text: str, *, source: str = "<string>") -> ScenarioSpec:
-    """Parse + validate one spec document (JSON or the YAML subset)."""
-    return ScenarioSpec.from_dict(_parse_text(text, source), path=source)
+    """Parse + validate one JSON spec document."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{source}: invalid JSON ({exc})") from None
+    return ScenarioSpec.from_dict(data, path=source)
 
 
 def load_spec(path: str | os.PathLike[str]) -> ScenarioSpec:
@@ -640,10 +629,7 @@ def catalog_dir() -> Path:
 
 def catalog_paths() -> list[Path]:
     """The bundled spec files, sorted by name."""
-    return sorted(
-        p for p in catalog_dir().iterdir()
-        if p.suffix in (".json", ".yaml", ".yml")
-    )
+    return sorted(catalog_dir().glob("*.json"))
 
 
 def load_catalog() -> list[ScenarioSpec]:

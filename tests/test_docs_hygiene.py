@@ -1,13 +1,16 @@
-"""Documentation hygiene: every module and public class is documented."""
+"""Documentation hygiene: every module and public class is documented, and
+the metric catalog in docs/observability.md matches the registered metrics."""
 
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import repro
+from repro.runtime.supervisor import _SERVICE_COUNTER_FIELDS
 
 
 def all_modules():
@@ -67,3 +70,79 @@ def test_expected_package_layout():
     }
     packages = {m for m in MODULES if m.count(".") == 1}
     assert expected <= packages
+
+
+# ----------------------------------------------------------------------
+# The metric catalog in docs/observability.md names exactly the metrics
+# registered under src/repro
+# ----------------------------------------------------------------------
+OBS_DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+SRC_DIR = pathlib.Path(repro.__file__).resolve().parent
+
+#: A registry call that names a metric: ``.counter("name"``,
+#: ``.inc(f"name_{x}"`` (the name may start on the next line).
+_METRIC_CALL = re.compile(
+    r"\.(?:counter|gauge|histogram|inc|set_gauge|observe)\(\s*f?\"([^\"]+)\""
+)
+_SPAN_CALL = re.compile(r"(?:_OBS|REGISTRY)\.span\(\s*\"([^\"]+)\"")
+
+
+def _expand(name: str) -> set[str]:
+    """One metric name, or the names a pattern row stands for.
+
+    ``span_<name>_seconds`` (``span_{...}_seconds`` in code) expands over
+    every span opened in ``src/repro``; ``service_<field>_total`` over the
+    ``ServiceTelemetry`` counter fields.
+    """
+    pattern = re.sub(r"<[^>]*>|\{[^}]*\}", "*", name)
+    if pattern == "span_*_seconds":
+        spans = {
+            span
+            for path in SRC_DIR.rglob("*.py")
+            for span in _SPAN_CALL.findall(path.read_text(encoding="utf-8"))
+        }
+        return {f"span_{span}_seconds" for span in spans}
+    if pattern == "service_*_total":
+        return {f"service_{field}_total" for field in _SERVICE_COUNTER_FIELDS}
+    assert "*" not in pattern, f"unknown metric name pattern {name!r}"
+    return {name}
+
+
+def registered_metrics() -> set[str]:
+    names: set[str] = set()
+    for path in SRC_DIR.rglob("*.py"):
+        for name in _METRIC_CALL.findall(path.read_text(encoding="utf-8")):
+            names |= _expand(name)
+    return names
+
+
+def catalogued_metrics() -> set[str]:
+    """First-column names of every ``| metric | ...`` table in the doc."""
+    names: set[str] = set()
+    in_table = False
+    for line in OBS_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| metric |"):
+            in_table = True
+            continue
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        if in_table and not line.startswith("|---"):
+            for cell_name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                # Drop a label suffix such as ``{kernel=...}``.
+                names |= _expand(re.sub(r"\{[^}]*\}$", "", cell_name))
+    return names
+
+
+def test_metric_catalog_matches_registered_metrics():
+    registered = registered_metrics()
+    catalogued = catalogued_metrics()
+    assert registered, "found no metric registrations under src/repro"
+    assert not registered - catalogued, (
+        f"metrics missing from docs/observability.md: "
+        f"{sorted(registered - catalogued)}"
+    )
+    assert not catalogued - registered, (
+        f"docs/observability.md lists metrics nothing registers: "
+        f"{sorted(catalogued - registered)}"
+    )

@@ -12,12 +12,11 @@ import repro.exact.peeling
 import repro.extensions.orientation
 import repro.extensions.vertex_updates
 import repro.graph.dynamic_graph
-import repro.harness.telemetry
 import repro.lds.lds
 import repro.lds.plds
 import repro.unionfind.atomics
+import repro.unionfind.concurrent
 import repro.unionfind.sequential
-import repro.unionfind.variants
 
 MODULES = [
     repro.arrays,
@@ -28,12 +27,11 @@ MODULES = [
     repro.extensions.orientation,
     repro.extensions.vertex_updates,
     repro.graph.dynamic_graph,
-    repro.harness.telemetry,
     repro.lds.lds,
     repro.lds.plds,
     repro.unionfind.atomics,
+    repro.unionfind.concurrent,
     repro.unionfind.sequential,
-    repro.unionfind.variants,
 ]
 
 

@@ -346,10 +346,10 @@ def test_backends_report_identical_work_counters():
 
 
 # ----------------------------------------------------------------------
-# Thin views: telemetry mirrors into the registry
+# ServiceTelemetry mirrors into the registry
 # ----------------------------------------------------------------------
 def test_service_telemetry_mirrors_counters():
-    from repro.harness.telemetry import ServiceTelemetry
+    from repro.runtime.supervisor import ServiceTelemetry
 
     obs.enable()
     obs.reset()
@@ -373,7 +373,7 @@ def test_service_telemetry_mirrors_counters():
 
 
 def test_service_telemetry_disabled_does_not_mirror():
-    from repro.harness.telemetry import ServiceTelemetry
+    from repro.runtime.supervisor import ServiceTelemetry
 
     obs.disable()
     obs.reset()
@@ -381,26 +381,6 @@ def test_service_telemetry_disabled_does_not_mirror():
     tele.retries += 5
     assert obs.REGISTRY.counter_value("service_retries_total") == 0
     assert tele.retries == 5
-
-
-def test_telemetry_collector_feeds_batch_histogram():
-    from repro.core.cplds import CPLDS
-    from repro.harness.telemetry import TelemetryCollector
-
-    obs.enable()
-    obs.reset()
-    cp = CPLDS(8)
-    tele = TelemetryCollector.attach(cp)
-    cp.insert_batch([(0, 1), (1, 2), (0, 2)])
-    cp.delete_batch([(0, 1)])
-    assert len(tele.records) == 2
-    reg = obs.REGISTRY
-    assert reg.histogram(
-        "telemetry_batch_seconds", labels={"kind": "insert"}
-    ).count == 1
-    assert reg.histogram(
-        "telemetry_batch_seconds", labels={"kind": "delete"}
-    ).count == 1
 
 
 # ----------------------------------------------------------------------

@@ -2,16 +2,14 @@
 
 Covers the CI contract: every checked-in catalog spec must load,
 validate, and run truncated (``--smoke``) with byte-identical reports
-and work counters across repeated runs; malformed specs must be
-rejected loudly; and the YAML-subset parser must handle the catalog's
-syntax and refuse what it does not understand.
+and work counters across repeated runs; and malformed specs, including
+text that is not JSON, must be rejected loudly.
 """
 
 import json
 
 import pytest
 
-from repro.workloads.scenarios import yamlish
 from repro.workloads.scenarios.report import (
     report_lines,
     render_table,
@@ -22,6 +20,7 @@ from repro.workloads.scenarios.runner import run_scenario
 from repro.workloads.scenarios.spec import (
     ScenarioSpec,
     SpecError,
+    catalog_dir,
     catalog_paths,
     load_catalog,
     load_spec,
@@ -200,57 +199,20 @@ def test_unknown_backend_rejected_at_run_time():
         run_scenario(spec, backend="ramdisk")
 
 
-# ------------------------------------------------------------- yamlish
+# ------------------------------------------------------------ spec text
 
 
-def test_yamlish_scalars_and_nesting():
-    text = (
-        "a: 1\n"
-        "b: hello world\n"
-        "c: 2.5\n"
-        "d: true\n"
-        "e: null\n"
-        'f: "quoted # not a comment"\n'
-        "g:\n"
-        "  - 1\n"
-        "  - x: 2\n"
-        "    y: 3\n"
-        "h:\n"
-        "  nested: -4\n"
-    )
-    assert yamlish.parse(text) == {
-        "a": 1,
-        "b": "hello world",
-        "c": 2.5,
-        "d": True,
-        "e": None,
-        "f": "quoted # not a comment",
-        "g": [1, {"x": 2, "y": 3}],
-        "h": {"nested": -4},
-    }
+def test_non_json_spec_file_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "road-yaml.json"
+    path.write_text("name: road-yaml\nseed: 9\n")
+    with pytest.raises(SpecError, match=r"road-yaml\.json: invalid JSON"):
+        load_spec(path)
 
 
-def test_yamlish_strips_trailing_comments():
-    assert yamlish.parse("a: 7   # lucky\n") == {"a": 7}
-
-
-def test_yamlish_rejects_tabs():
-    with pytest.raises(yamlish.ParseError, match="tab"):
-        yamlish.parse("a:\n\tb: 1\n")
-
-
-def test_yamlish_rejects_flow_syntax():
-    with pytest.raises(yamlish.ParseError):
-        yamlish.parse("a: {x: 1}\n")
-
-
-def test_yamlish_error_carries_line_number():
-    with pytest.raises(yamlish.ParseError, match="line"):
-        yamlish.parse("a: 1\nb: [1, 2]\n")
-
-
-def test_yamlish_matches_json_for_catalog_spec():
-    """The YAML catalog entry equals its JSON re-serialization."""
+def test_road_diurnal_catalog_spec_is_json():
+    """Every catalog entry, the road-diurnal wave included, is JSON: no
+    other file in the catalog directory would be loaded."""
+    assert {p.suffix for p in catalog_dir().iterdir() if p.is_file()} == {".json"}
     path = catalog_dir_path("road-diurnal")
     spec = load_spec(path)
     assert spec.graph.shape == "road"

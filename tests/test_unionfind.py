@@ -1,4 +1,4 @@
-"""Tests for the atomic primitives and both union-find variants."""
+"""Tests for the sequential and concurrent union-find structures."""
 
 import threading
 
@@ -6,73 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.unionfind import (
-    AtomicCell,
-    AtomicCounter,
-    ConcurrentUnionFind,
-    SequentialUnionFind,
-)
-
-
-class TestAtomicCell:
-    def test_load_store(self):
-        c = AtomicCell(1)
-        assert c.load() == 1
-        c.store(2)
-        assert c.load() == 2
-
-    def test_compare_exchange_success_and_failure(self):
-        c = AtomicCell("a")
-        assert c.compare_exchange("a", "b") is True
-        assert c.compare_exchange("a", "c") is False
-        assert c.load() == "b"
-
-    def test_swap(self):
-        c = AtomicCell(10)
-        assert c.swap(20) == 10
-        assert c.load() == 20
-
-    def test_concurrent_cas_only_one_winner(self):
-        c = AtomicCell(0)
-        wins = []
-        barrier = threading.Barrier(8)
-
-        def worker(i):
-            barrier.wait()
-            if c.compare_exchange(0, i + 1):
-                wins.append(i)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(wins) == 1
-
-
-class TestAtomicCounter:
-    def test_fetch_add(self):
-        c = AtomicCounter(5)
-        assert c.fetch_add(2) == 5
-        assert c.load() == 7
-
-    def test_add_returns_new_value(self):
-        c = AtomicCounter()
-        assert c.add(3) == 3
-
-    def test_concurrent_increments_all_counted(self):
-        c = AtomicCounter()
-
-        def worker():
-            for _ in range(1000):
-                c.fetch_add()
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.load() == 4000
+from repro.unionfind import ConcurrentUnionFind, SequentialUnionFind
 
 
 class TestSequentialUnionFind:

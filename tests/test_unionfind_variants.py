@@ -1,4 +1,4 @@
-"""Tests for the union-find find-strategy variants."""
+"""Tests for the concurrent union-find's four find strategies."""
 
 import threading
 
@@ -7,21 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.unionfind import SequentialUnionFind
-from repro.unionfind.variants import FIND_STRATEGIES, VariantUnionFind
+from repro.unionfind.concurrent import FIND_STRATEGIES, ConcurrentUnionFind
 
 
 class TestConstruction:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="find strategy"):
-            VariantUnionFind(4, find_strategy="teleport")
+            ConcurrentUnionFind(4, find_strategy="teleport")
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            VariantUnionFind(-1)
+            ConcurrentUnionFind(-1)
 
     @pytest.mark.parametrize("strategy", FIND_STRATEGIES)
     def test_initial_singletons(self, strategy):
-        uf = VariantUnionFind(5, find_strategy=strategy)
+        uf = ConcurrentUnionFind(5, find_strategy=strategy)
         assert [uf.find(i) for i in range(5)] == list(range(5))
 
 
@@ -30,7 +30,7 @@ class TestSemanticsAcrossStrategies:
 
     @pytest.mark.parametrize("strategy", FIND_STRATEGIES)
     def test_matches_sequential(self, strategy):
-        uf = VariantUnionFind(8, find_strategy=strategy)
+        uf = ConcurrentUnionFind(8, find_strategy=strategy)
         ref = SequentialUnionFind(8)
         for a, b in self.OPS:
             assert uf.union(a, b) == ref.union(a, b)
@@ -39,14 +39,14 @@ class TestSemanticsAcrossStrategies:
 
     @pytest.mark.parametrize("strategy", FIND_STRATEGIES)
     def test_same_set(self, strategy):
-        uf = VariantUnionFind(6, find_strategy=strategy)
+        uf = ConcurrentUnionFind(6, find_strategy=strategy)
         uf.union(0, 3)
         assert uf.same_set(0, 3)
         assert not uf.same_set(1, 3)
 
     @pytest.mark.parametrize("strategy", FIND_STRATEGIES)
     def test_roots_listing(self, strategy):
-        uf = VariantUnionFind(5, find_strategy=strategy)
+        uf = ConcurrentUnionFind(5, find_strategy=strategy)
         uf.union(0, 1)
         uf.union(2, 3)
         assert sorted(uf.roots()) == [0, 2, 4]
@@ -57,7 +57,7 @@ class TestSemanticsAcrossStrategies:
         st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=50),
     )
     def test_any_script_matches_sequential(self, strategy, ops):
-        uf = VariantUnionFind(16, find_strategy=strategy)
+        uf = ConcurrentUnionFind(16, find_strategy=strategy)
         ref = SequentialUnionFind(16)
         for a, b in ops:
             uf.union(a, b)
@@ -69,7 +69,7 @@ class TestSemanticsAcrossStrategies:
 
 class TestWorkCharacteristics:
     def _chain(self, strategy, depth=256):
-        uf = VariantUnionFind(depth, find_strategy=strategy)
+        uf = ConcurrentUnionFind(depth, find_strategy=strategy)
         # Build a worst-case chain by explicit parent writes.
         for v in range(1, depth):
             uf.parent[v] = v - 1
@@ -111,7 +111,7 @@ class TestConcurrency:
     @pytest.mark.parametrize("strategy", FIND_STRATEGIES)
     def test_concurrent_unions_converge(self, strategy):
         n = 48
-        uf = VariantUnionFind(n, find_strategy=strategy)
+        uf = ConcurrentUnionFind(n, find_strategy=strategy)
         pairs = [(i % n, (i * 5 + 2) % n) for i in range(n * 3)]
         barrier = threading.Barrier(3)
 
