@@ -34,7 +34,7 @@ svcbench-determinism:
 	$(PYTHON) -m pytest svcbench -q
 
 # Peak RSS of one 64,000-edge insert batch in a fresh process; fails at
-# 1 GB or more (what nightly CI runs).
+# 1 GB or more (what CI runs on every push).
 batch-rss:
 	$(PYTHON) benchmarks/batch_rss.py
 

@@ -78,12 +78,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: the array kernels win surprisingly early).
 _SMALL_FRONTIER = 4
 
-#: The DAG-pair buffer is deduplicated in place once it holds more rows than
-#: this many times the graph's edge count.  Round pairs are graph edges, so
-#: a compacted buffer holds at most m rows: batch memory is set by the graph,
-#: not by how many rounds re-derive the same dependency edge.
-_PAIR_BUFFER_EDGES = 4
-
 #: While other threads exist, the round drivers release the GIL for a moment
 #: once this much round work has run since the last release.  A reader that
 #: wakes behind a busy writer otherwise waits out the interpreter's switch
@@ -208,13 +202,13 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                     enqueue(unique(np.asarray(req, dtype=np.int64)), new_level)
                 hooks.round_boundary()
                 continue
-            src, flat = state.gather_rows(movers)
+            src, flat, pos, co, lw = state.gather_round(movers)
             if mode == "bulk":
-                hooks.bulk_insert_moves(movers, lvl, src, flat)
+                hooks.bulk_insert_moves(movers, lvl, src, flat, pos, co, lw)
             elif mode == "scalar":
                 for v in movers.tolist():
                     hooks.before_move(v, lvl, new_level, "insert")
-            requeue = state.bulk_raise_level_rows(movers, lvl, src, flat)
+            requeue = state.bulk_raise_level_rows(movers, lvl, src, flat, co, lw)
             plds._count_moves(int(movers.size))
             enqueue(movers, new_level)
             if requeue.size:
@@ -230,7 +224,6 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
     hooks = plds.hooks
     mode = _hook_mode(hooks)
     executor = plds.executor
-    level_arr = state._level_arr
     hooks.batch_begin("delete", applied)
     try:
         if applied:
@@ -277,25 +270,23 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                     outstanding = viols
                 hooks.round_boundary()
                 continue
-            src, flat = state.gather_rows(movers)
-            if mode == "bulk":
-                old_levels = level_arr[movers].copy()
-                hooks.bulk_delete_moves(movers, old_levels, lstar, src, flat)
-                state.bulk_move_to_level_rows(movers, lstar, src, flat)
-            elif mode == "scalar":
+            src, flat, pos, co, lw = state.gather_round(movers)
+            if mode == "scalar":
                 level = state.level
                 for v in movers.tolist():
                     old = level[v]
                     hooks.before_move(v, old, lstar, "delete")
                     state.set_level(v, lstar)
             else:
-                state.bulk_move_to_level_rows(movers, lstar, src, flat)
+                if mode == "bulk":
+                    hooks.bulk_delete_moves(movers, lstar, src, flat, pos, co, lw)
+                state.bulk_move_to_level_rows(movers, lstar, src, flat, co, lw)
             plds._count_moves(int(movers.size))
-            # Neighbours left strictly above the landing level re-check next
-            # round, alongside every current violator (movers included —
-            # they may violate again at lstar).
+            # Non-mover neighbours left strictly above the landing level
+            # re-check next round, alongside every current violator (movers
+            # included — they may violate again at lstar).
             if flat.size:
-                grow = flat[level_arr[flat] > lstar]
+                grow = flat[(lw > lstar) & ~co]
                 outstanding = unique(np.concatenate([viols, grow]))
             else:
                 outstanding = viols
@@ -316,8 +307,10 @@ class FrontierMarkingHooks(UpdateHooks):
     buffers during the rounds and merged with one grouped union at phase
     end — deferring the unions is safe because a mid-phase reader that
     finds ``marked[v]`` set must return ``old_level[v]`` no matter which
-    DAG ``v`` belongs to.  The buffer is compacted to its distinct pairs
-    whenever it passes :data:`_PAIR_BUFFER_EDGES` times the edge count.
+    DAG ``v`` belongs to.  Rounds re-derive the same dependency edge in
+    every round that moves an endpoint, so each gathered row is buffered at
+    most once per phase, keyed by its CSR position: the buffer never holds
+    more rows than the CSR has positions (2·m).
 
     Pair derivation matches the hook-time trigger scans of
     :class:`~repro.core.cplds._MarkingHooks` exactly (the differential suite
@@ -333,14 +326,19 @@ class FrontierMarkingHooks(UpdateHooks):
 
     supports_bulk_moves = True
 
-    __slots__ = ("cp", "_edges", "_pair_chunks", "_pair_rows", "_pairs_scalar")
+    __slots__ = (
+        "cp", "_edges", "_pair_chunks", "_pairs_scalar", "_seen", "_seen_version"
+    )
 
     def __init__(self, cp: "FrontierCPLDS") -> None:
         self.cp = cp
         self._edges: Sequence[Edge] = ()
         self._pair_chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._pair_rows = 0
         self._pairs_scalar: list[tuple[int, int]] = []
+        #: The CSR positions buffered this phase, valid for the CSR build
+        #: ``_seen_version`` (-1: none yet this phase).
+        self._seen = np.zeros(0, dtype=bool)
+        self._seen_version = -1
 
     # -- phase boundaries ----------------------------------------------
     def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
@@ -377,22 +375,17 @@ class FrontierMarkingHooks(UpdateHooks):
         lvl: int,
         src: np.ndarray,
         flat: np.ndarray,
+        pos: np.ndarray,
+        co: np.ndarray,
+        lw: np.ndarray,
     ) -> None:
         cp = self.cp
         marked = cp._marked
         if flat.size:
-            stamp = cp.plds.state._stamp
-            stamp[movers] = True
-            w_moves = stamp[flat]
-            stamp[movers] = False
-            trigger = (cp.plds.state._level_arr[flat] >= lvl) & (
-                marked[flat] | w_moves
-            )
             # A mover–mover edge appears as two rows; keep one.  batch_end
             # dedups pairs as unordered keys, so the union input is the same.
-            trigger &= ~w_moves | (src < flat)
-            if np.count_nonzero(trigger):
-                self._buffer_pairs(src[trigger], flat[trigger])
+            trigger = (lw >= lvl) & (marked[flat] | co) & (~co | (src < flat))
+            self._buffer_pairs(trigger, src, flat, pos)
         newly = movers[~marked[movers]]
         cp._old_level[newly] = lvl
         marked[movers] = True
@@ -400,63 +393,48 @@ class FrontierMarkingHooks(UpdateHooks):
     def bulk_delete_moves(
         self,
         movers: np.ndarray,
-        old_levels: np.ndarray,
         lstar: int,
         src: np.ndarray,
         flat: np.ndarray,
+        pos: np.ndarray,
+        co: np.ndarray,
+        lw: np.ndarray,
     ) -> None:
         cp = self.cp
         marked = cp._marked
         if flat.size:
-            level_arr = cp.plds.state._level_arr
-            stamp = cp.plds.state._stamp
-            stamp[movers] = True
-            w_moves = stamp[flat]
-            stamp[movers] = False
-            lw = level_arr[flat]  # pre-move levels
-            old_src = level_arr[src]
-            below = lw < old_src - 1
+            # lw: pre-move levels.
+            below = lw < cp.plds.state._level_arr[src] - 1
             # mover → marked non-mover strictly below ℓ(v) − 1 …
-            pair = ~w_moves & marked[flat] & below
+            pair = ~co & marked[flat] & below
             # … and mover–mover pairs, once per edge (src < flat row): the
             # later-processed endpoint sees the earlier one at lstar, or the
             # earlier one saw the later one already marked below the bound.
-            pair |= (
-                w_moves
-                & (src < flat)
-                & ((lstar < lw - 1) | (marked[flat] & below))
-            )
-            if np.count_nonzero(pair):
-                self._buffer_pairs(src[pair], flat[pair])
-        fresh = ~marked[movers]
-        newly = movers[fresh]
-        cp._old_level[newly] = old_levels[fresh]
+            pair |= co & (src < flat) & ((lstar < lw - 1) | (marked[flat] & below))
+            self._buffer_pairs(pair, src, flat, pos)
+        newly = movers[~marked[movers]]
+        cp._old_level[newly] = cp.plds.state._level_arr[newly]  # pre-move
         marked[movers] = True
 
     # -- the pair buffer ------------------------------------------------
-    def _buffer_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
-        self._pair_chunks.append((a, b))
-        self._pair_rows += a.size
-        if self._pair_rows > _PAIR_BUFFER_EDGES * self.cp.plds.graph.num_edges:
-            key = self._pair_keys()
-            n = self.cp._marked.shape[0]
-            self._pair_chunks[:] = [(key // n, key % n)]
-            self._pair_rows = key.size
-
-    def _pair_keys(self) -> np.ndarray:
-        """The buffered pairs as sorted distinct unordered keys
-        ``min * n + max``.  Rounds re-derive the same dependency edge many
-        times (in every round that moves an endpoint), and union cost scales
-        with the pair count, not the edge count."""
-        n = np.int64(self.cp._marked.shape[0])
-        a = np.concatenate([x for x, _ in self._pair_chunks])
-        b = np.concatenate([x for _, x in self._pair_chunks])
-        return unique(np.minimum(a, b) * n + np.maximum(a, b))
+    def _buffer_pairs(
+        self, rows: np.ndarray, src: np.ndarray, flat: np.ndarray, pos: np.ndarray
+    ) -> None:
+        """Buffer the pairs of the ``rows`` mask, skipping the CSR positions
+        already buffered this phase (``rows`` is consumed)."""
+        state = self.cp.plds.state
+        if self._seen_version != state._csr_version:
+            self._seen = np.zeros(state._csr_targets.size, dtype=bool)
+            self._seen_version = state._csr_version
+        rows &= ~self._seen[pos]
+        if np.count_nonzero(rows):
+            self._seen[pos[rows]] = True
+            self._pair_chunks.append((src[rows], flat[rows]))
 
     def _clear_pairs(self) -> None:
         self._pair_chunks.clear()
-        self._pair_rows = 0
         self._pairs_scalar.clear()
+        self._seen_version = -1
 
     # -- phase end: union, telemetry, unmark ----------------------------
     def batch_end(self) -> None:
@@ -474,8 +452,14 @@ class FrontierMarkingHooks(UpdateHooks):
             sarr = np.asarray(self._pairs_scalar, dtype=np.int64).reshape(-1, 2)
             self._pair_chunks.append((sarr[:, 0], sarr[:, 1]))
         if self._pair_chunks:
-            key = self._pair_keys()
-            uf.union_pairs(key // marked.shape[0], key % marked.shape[0])
+            # Sorted distinct unordered keys min * n + max: an edge can still
+            # arrive from both endpoints' rows and as a partner pair, and
+            # union cost scales with the pair count.
+            n = np.int64(marked.shape[0])
+            a = np.concatenate([x for x, _ in self._pair_chunks])
+            b = np.concatenate([x for _, x in self._pair_chunks])
+            key = unique(np.minimum(a, b) * n + np.maximum(a, b))
+            uf.union_pairs(key // n, key % n)
             if _REC.enabled:
                 # One grouped event per phase-end union (the object engine
                 # emits one per CAS link): root=-1, merged=deduped pair count.

@@ -10,8 +10,9 @@ memory.  Two layouts implement the contract:
   Python lists + a per-vertex dict of below-level counts.  Kept as the
   semantic reference; the array store is differentially tested against it.
 * :class:`FrontierLevelStore` (``"columnar-frontier"``) — GBBS-style flat
-  per-vertex words driven by whole-frontier rounds.  ``level`` is mirrored
-  into an ``int64`` array; ``up_deg`` and ``down1`` (the number of
+  per-vertex words driven by whole-frontier rounds.  ``level`` is one
+  ``int64`` buffer seen two ways (an ``array("q")`` for scalar reads and a
+  numpy view for the kernels); ``up_deg`` and ``down1`` (the number of
   neighbours at exactly ``ℓ(v) − 1``, all Invariant 2 reads besides
   ``up_deg``) are ``int64[n]`` arrays, so the counters take O(n) memory
   whatever the levels.  Desire levels are computed from the neighbour
@@ -29,17 +30,21 @@ Both expose the same surface (see :class:`LevelStore`); pick one with
 :func:`make_store` or — at the system level — via
 ``repro.engines.create(name, backend=...)``.
 
-Concurrency note: both layouts expose ``level`` as a plain Python list —
-element reads are one C-level operation under the CPython GIL, which is the
-single-word-read atomicity the paper's read protocol assumes (and a list
-read returns an unboxed ``int``, keeping the reader hot path allocation
-free).  The array store mirrors the list into a private ``int64`` array
-for its vectorised kernels; the list is always written last, so it is the
-reader-visible word.  The counter structures remain writer-private.
+Concurrency note: ``level[v]`` is the paper's single-word read.  The
+object store keeps a plain Python list; the array store an ``array("q")``
+whose memory the kernels' numpy view ``_level_arr`` shares, so a read
+returns a Python ``int`` and every write — a scalar store in
+:meth:`~FrontierLevelStore.set_level`, one scatter in the round kernels —
+lands in the reader-visible word itself.  Each slot is one aligned
+``int64``; a scatter may run without the GIL, so a reader can see a round
+partly applied, and the marking hooks publish ``marked``/``old_level``
+before the scatter for exactly that reason.  The counter structures remain
+writer-private.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from itertools import chain
 from typing import Iterable, Protocol, Sequence, runtime_checkable
@@ -167,11 +172,12 @@ class FrontierLevelStore:
         self.params = params
         self.graph = graph
         n = graph.num_vertices
-        # The live, reader-visible levels: a plain list (fast unboxed scalar
-        # reads for the read protocol and the per-move hot loops), mirrored
-        # into an int64 array for the vectorised kernels.
-        self.level = [0] * n
-        self._level_arr = np.zeros(n, dtype=np.int64)
+        # The live, reader-visible levels: one int64 buffer, read as Python
+        # ints through the array("q") and written by the kernels through
+        # the numpy view.  Never rebound (and the view's buffer export
+        # forbids a resize), so references held by readers stay live.
+        self.level = array("q", bytes(8 * n))
+        self._level_arr = np.frombuffer(self.level, dtype=np.int64)
         self.up_deg = np.zeros(n, dtype=np.int64)
         self.down1 = np.zeros(n, dtype=np.int64)
         self._stamp = np.zeros(n, dtype=bool)  # scratch for bulk kernels
@@ -194,7 +200,7 @@ class FrontierLevelStore:
 
     def levels_snapshot(self) -> list[int]:
         """A plain-int copy of all live levels (quiescent use only)."""
-        return list(self.level)
+        return self.level.tolist()
 
     def snapshot_levels(self) -> np.ndarray:
         """An O(n) array copy of the live levels (indexable snapshot)."""
@@ -287,9 +293,10 @@ class FrontierLevelStore:
         """Move ``v`` to ``new_level``, fixing all affected counters.
 
         Semantics identical to the object store's; the live level write
-        happens last.  ``v``'s own counters are recounted from its
-        neighbours, each neighbour's view of ``v`` is patched; large
-        neighbourhoods use array kernels, tiny ones a scalar loop.
+        (one store into the shared buffer) happens last.  ``v``'s own
+        counters are recounted from its neighbours, each neighbour's view of
+        ``v`` is patched; large neighbourhoods use array kernels, tiny ones a
+        scalar loop.
         """
         old = self.level[v]
         new_level = int(new_level)
@@ -304,7 +311,6 @@ class FrontierLevelStore:
             self._set_level_vector(v, old, new_level, nbrs)
         elif nbrs:
             self._set_level_scalar(v, old, new_level, nbrs)
-        self._level_arr[v] = new_level
         self.level[v] = new_level
 
     def _set_level_scalar(
@@ -404,7 +410,6 @@ class FrontierLevelStore:
         if n and (arr.min() < 0 or arr.max() >= self.params.num_levels):
             raise ValueError("level assignment out of range")
         self._level_arr[:] = arr
-        self.level[:] = arr.tolist()
         self.up_deg[:] = 0
         self.down1[:] = 0
         edges = self.graph.edge_array()
@@ -425,7 +430,6 @@ class FrontierLevelStore:
         """
         level, up_deg, down1 = snap
         self._level_arr[:] = level
-        self.level[:] = level.tolist()
         self.up_deg[:] = up_deg
         self.down1[:] = down1
 
@@ -440,15 +444,6 @@ class FrontierLevelStore:
         mismatch does the per-vertex scan run, to name the first bad vertex
         exactly as the object store's check does.
         """
-        mirror = self._level_arr.tolist()
-        if self.level != mirror:
-            v = next(
-                (i for i, (a, b) in enumerate(zip(self.level, mirror)) if a != b),
-                min(len(self.level), len(mirror)),
-            )
-            raise AssertionError(
-                f"level list and its array mirror diverged at vertex {v}"
-            )
         if not self._counters_match():
             self._scan_counters()
 
@@ -588,11 +583,14 @@ class FrontierLevelStore:
         self._csr_offsets = offsets
         self._csr_version = version
 
-    def gather_rows(self, varr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All CSR adjacency rows of ``varr`` flattened: ``(src, flat)``
-        where ``flat[i]`` is a neighbour of ``src[i]``.  Syncs the CSR view
-        on demand (a two-comparison no-op when already current), so phases
-        that never gather skip the rebuild entirely."""
+    def gather_rows(
+        self, varr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All CSR adjacency rows of ``varr`` flattened: ``(src, flat, pos)``
+        where ``flat[i]`` is a neighbour of ``src[i]``, found at
+        ``_csr_targets[pos[i]]``.  Syncs the CSR view on demand (a
+        two-comparison no-op when already current), so phases that never
+        gather skip the rebuild entirely."""
         self.sync_csr()
         offsets = self._csr_offsets
         start = offsets[varr]
@@ -600,7 +598,7 @@ class FrontierLevelStore:
         total = int(cnt.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+            return empty, empty, empty
         if total > len(self._iota):
             self._iota = np.arange(
                 max(total, 2 * len(self._iota)), dtype=np.int64
@@ -608,8 +606,8 @@ class FrontierLevelStore:
         cum = np.cumsum(cnt)
         # iota - repeat(exclusive-cumsum - start): one repeat pass instead
         # of two, and the iota ramp is a cached slice, not a fresh arange.
-        idx = self._iota[:total] - np.repeat(cum - cnt - start, cnt)
-        return np.repeat(varr, cnt), self._csr_targets[idx]
+        pos = self._iota[:total] - np.repeat(cum - cnt - start, cnt)
+        return np.repeat(varr, cnt), self._csr_targets[pos], pos
 
     # ------------------------------------------------------------------
     # Array-in/array-out round kernels
@@ -668,12 +666,31 @@ class FrontierLevelStore:
             np.minimum(desire, lv[viol], out=desire)
         return v, desire
 
+    def gather_round(self, movers: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One round's neighbour pass, shared by the marking hooks and the
+        level kernels: :meth:`gather_rows`' ``(src, flat, pos)`` plus the
+        co-mover mask ``co`` (the row's neighbour moves too) and the
+        neighbour levels ``lw`` before the round."""
+        src, flat, pos = self.gather_rows(movers)
+        stamp = self._stamp
+        stamp[movers] = True
+        co = stamp[flat]
+        stamp[movers] = False
+        return src, flat, pos, co, self._level_arr[flat]
+
     def bulk_raise_level_rows(
-        self, movers: np.ndarray, old: int, src: np.ndarray, flat: np.ndarray
+        self,
+        movers: np.ndarray,
+        old: int,
+        src: np.ndarray,
+        flat: np.ndarray,
+        co: np.ndarray,
+        lw: np.ndarray,
     ) -> np.ndarray:
         """Move every vertex in ``movers`` from ``old`` to ``old + 1`` in one
-        scatter pass over the pre-gathered CSR rows; returns the requeue set
-        (non-mover neighbours at the destination level) as a sorted array.
+        scatter pass over the rows of :meth:`gather_round`; returns the
+        requeue set (non-mover neighbours at the destination level) as a
+        sorted array.
 
         The counter delta of a simultaneous single-level raise reduces to
         three non-mover neighbour masks (mover–mover edges change nothing:
@@ -686,9 +703,10 @@ class FrontierLevelStore:
           leaves its ``ℓ − 1``;
         * neighbour at ``old+2`` — the mover reaches its ``ℓ − 1``.
 
-        Equivalent to calling :meth:`set_level` once per mover (the counter
-        state is a pure function of the final levels); the live level list
-        is written last, after all counters.
+        Every mover sits at ``old``, so only the first mask can hold a
+        co-mover row.  Equivalent to calling :meth:`set_level` once per
+        mover (the counter state is a pure function of the final levels);
+        the level scatter comes last, after all counters.
         """
         new = old + 1
         if _OBS.enabled:
@@ -696,41 +714,37 @@ class FrontierLevelStore:
             _K_ROWS.inc(int(movers.size))
         requeue = np.empty(0, dtype=np.int64)
         if flat.size:
-            stamp = self._stamp
-            stamp[movers] = True
-            keep = ~stamp[flat]
-            stamp[movers] = False
-            f = flat[keep]
-            s = src[keep]
-            lw = self._level_arr[f]
             # count_nonzero is the cheap emptiness test on the small masks
             # of typical rounds.
             self.down1[movers] = 0
-            at_old = lw == old
+            at_old = (lw == old) & ~co
             if np.count_nonzero(at_old):
-                t = s[at_old]
+                t = src[at_old]
                 np.add.at(self.up_deg, t, -1)
                 np.add.at(self.down1, t, 1)
             at_new = lw == new
             if np.count_nonzero(at_new):
-                t = f[at_new]
+                t = flat[at_new]
                 np.add.at(self.up_deg, t, 1)
                 np.add.at(self.down1, t, -1)
                 requeue = unique(t)
             above = lw == new + 1
             if np.count_nonzero(above):
-                np.add.at(self.down1, f[above], 1)
+                np.add.at(self.down1, flat[above], 1)
         self._level_arr[movers] = new
-        level = self.level
-        for v in movers.tolist():
-            level[v] = new
         return requeue
 
     def bulk_move_to_level_rows(
-        self, movers: np.ndarray, lstar: int, src: np.ndarray, flat: np.ndarray
+        self,
+        movers: np.ndarray,
+        lstar: int,
+        src: np.ndarray,
+        flat: np.ndarray,
+        co: np.ndarray,
+        lw: np.ndarray,
     ) -> None:
         """Move every mover to ``lstar`` (a strict down-move) in one scatter
-        pass over the pre-gathered rows.
+        pass over the rows of :meth:`gather_round`.
 
         The rows are the movers' whole adjacency, so each mover's counters
         are recounted from its neighbours' final levels; each non-mover
@@ -738,34 +752,26 @@ class FrontierLevelStore:
         neighbour while ``lw <= ℓ(v)``, its ``ℓ − 1`` while
         ``ℓ(v) == lw − 1``; several movers may share a ``w``, hence
         ``np.add.at``).  Equivalent to interleaved :meth:`set_level` calls;
-        the live level list is written last.
+        the level scatter comes last.
         """
         if _OBS.enabled:
             _K_MOVE.inc()
             _K_ROWS.inc(int(movers.size))
         if flat.size:
-            level_arr = self._level_arr
-            stamp = self._stamp
-            stamp[movers] = True
-            w_moves = stamp[flat]
-            stamp[movers] = False
-            lw_new = np.where(w_moves, lstar, level_arr[flat])
+            lw_new = np.where(co, lstar, lw)
             self.up_deg[movers] = 0
             self.down1[movers] = 0
             np.add.at(self.up_deg, src[lw_new >= lstar], 1)
             np.add.at(self.down1, src[lw_new == lstar - 1], 1)
-            nm = ~w_moves
+            nm = ~co
             t = flat[nm]
-            ov = level_arr[src[nm]]
-            lw = lw_new[nm]
+            ov = self._level_arr[src[nm]]
+            lw = lw[nm]
             # lstar < ov: v stops being up for lstar < lw <= ov.
             np.add.at(self.up_deg, t[(lw > lstar) & (lw <= ov)], -1)
             np.add.at(self.down1, t[lw == ov + 1], -1)
             np.add.at(self.down1, t[lw == lstar + 1], 1)
         self._level_arr[movers] = lstar
-        level = self.level
-        for v in movers.tolist():
-            level[v] = lstar
 
 
 def make_store(

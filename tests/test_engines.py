@@ -270,20 +270,21 @@ class TestPairBufferBound:
         from repro.unionfind.vectorized import VectorizedUnionFind
 
         class Probe(frontier.FrontierMarkingHooks):
-            """Records the buffered rows at every round boundary."""
+            """Records the peak of the buffered rows over round boundaries."""
 
             def __init__(self, cp):
                 super().__init__(cp)
-                self.appended = self.peak = 0
-
-            def _buffer_pairs(self, a, b):
-                self.appended += a.size
-                super()._buffer_pairs(a, b)
+                self.peak = 0
 
             def round_boundary(self):
                 rows = sum(a.size for a, _ in self._pair_chunks)
-                assert rows == self._pair_rows
                 self.peak = max(self.peak, rows)
+
+        class Unfiltered(Probe):
+            """Buffers every triggered row, once per round that derives it."""
+
+            def _buffer_pairs(self, rows, src, flat, pos):
+                self._pair_chunks.append((src[rows], flat[rows]))
 
         unions: dict = {}
         union_pairs = VectorizedUnionFind.union_pairs
@@ -296,8 +297,8 @@ class TestPairBufferBound:
         # A 40-clique inserted as one batch climbs ~60 levels in lockstep:
         # every round re-derives the same 780 co-mover pairs.  It also
         # lifts an 8-clique built by an earlier batch for a few rounds, so
-        # that clique's pairs are buffered once, early, and are not batch
-        # edges: only the compacted buffer carries them to the union.
+        # that clique's pairs are derived early and are not batch edges:
+        # only the first buffering of their rows carries them to the union.
         n = 56
         small = [(u, v) for u in range(8) for v in range(u + 1, 8)]
         tail = [(7, 8)] + [(v, v + 1) for v in range(47, n - 1)]
@@ -306,44 +307,46 @@ class TestPairBufferBound:
         params = LDSParams(n, levels_per_group=4)
         impls = {
             "object": engines.create("cplds", n, backend="object", params=params),
-            "compacted": engines.create(
+            "filtered": engines.create(
                 "cplds", n, backend="columnar-frontier", params=params
             ),
-            "uncompacted": engines.create(
+            "unfiltered": engines.create(
                 "cplds", n, backend="columnar-frontier", params=params
             ),
         }
-        probe = Probe(impls["compacted"])
-        impls["compacted"].plds.hooks = probe
-        for apply, edges, compacts in (
+        probes = {}
+        for name, hooks in (("filtered", Probe), ("unfiltered", Unfiltered)):
+            probes[name] = impls[name].plds.hooks = hooks(impls[name])
+        for apply, edges, rebuffers in (
             ("insert_batch", small + tail, True),
             ("insert_batch", clique + links, True),
             ("delete_batch", clique[::2], False),
         ):
             observed = {}
             for name, impl in impls.items():
-                with monkeypatch.context() as m:
-                    if name == "uncompacted":
-                        m.setattr(frontier, "_PAIR_BUFFER_EDGES", n * n)
-                    getattr(impl, apply)(edges)
+                getattr(impl, apply)(edges)
                 observed[name] = (
                     impl.last_batch_marked,
                     impl.last_batch_dags,
                     canonical_dag_partition(impl.last_batch_dag_map),
                 )
-            assert observed["compacted"] == observed["object"], apply
-            assert observed["uncompacted"] == observed["object"], apply
-            bound = frontier._PAIR_BUFFER_EDGES * impls["object"].graph.num_edges
-            assert (probe.appended > bound) == compacts, apply
-            assert probe.peak <= bound, apply
-            probe.appended = probe.peak = 0
+            assert observed["filtered"] == observed["object"], apply
+            assert observed["unfiltered"] == observed["object"], apply
+            # The phase's CSR positions: the graph after the phase's edges.
+            positions = 2 * impls["object"].graph.num_edges
+            assert probes["filtered"].peak <= positions, apply
+            # The lock-step climb re-derives its pairs past the CSR size;
+            # the filtered buffer holds each row once.
+            assert (probes["unfiltered"].peak > positions) == rebuffers, apply
+            for probe in probes.values():
+                probe.peak = 0
         # The same key set reaches the union in every phase.
-        compacted = unions[id(impls["compacted"]._uf)]
-        uncompacted = unions[id(impls["uncompacted"]._uf)]
-        assert len(compacted) == len(uncompacted) > 0
-        for got, want in zip(compacted, uncompacted):
+        filtered = unions[id(impls["filtered"]._uf)]
+        unfiltered = unions[id(impls["unfiltered"]._uf)]
+        assert len(filtered) == len(unfiltered) > 0
+        for got, want in zip(filtered, unfiltered):
             assert np.array_equal(got, want)
-        impls["compacted"].check_invariants()
+        impls["filtered"].check_invariants()
 
 
 def test_round_drivers_release_the_gil_only_beside_other_threads():

@@ -387,15 +387,10 @@ class TestProperties:
 # ----------------------------------------------------------------------
 def _brute_force_first_fault(state):
     """``(exception type, vertex)`` of the first fault a vertex-by-vertex
-    scan finds — mirror, then counters, then Invariant 1, then 2 — or
-    ``None`` when the state is sound."""
+    scan finds — counters, then Invariant 1, then 2 — or ``None`` when the
+    state is sound."""
     n = state.graph.num_vertices
     levels = [int(x) for x in state.level]
-    mirror = getattr(state, "_level_arr", None)
-    if mirror is not None:
-        for v in range(n):
-            if int(mirror[v]) != levels[v]:
-                return AssertionError, v
     for v in range(n):
         nbr = [levels[w] for w in state.graph.neighbors_unsafe(v)]
         up = sum(1 for lw in nbr if lw >= levels[v])
@@ -485,7 +480,9 @@ def _move_behind_counters(state):
         state._level_arr[7] = 3
 
 
-def _break_mirror(state):
+def _write_array_view_only(state):
+    # The kernels' numpy view shares the level buffer: a write through it
+    # alone is a level moved behind the counters.
     state._level_arr[11] = 2
 
 
@@ -506,14 +503,14 @@ class TestWholeArrayCheckers:
     @pytest.mark.parametrize(
         "corrupt",
         [_bump_up_deg, _bump_high_down_cell, _move_behind_counters,
-         _break_mirror, _unsupported_levels, _overfull_levels],
+         _write_array_view_only, _unsupported_levels, _overfull_levels],
     )
     def test_checker_names_the_brute_force_vertex(self, backend, corrupt):
         state = _sound_state(backend)
         assert _brute_force_first_fault(state) is None
         check_all_invariants(state)
-        if corrupt is _break_mirror and backend == "object":
-            pytest.skip("the object store keeps no level mirror")
+        if corrupt is _write_array_view_only and backend == "object":
+            pytest.skip("the object store keeps no array view of its levels")
         corrupt(state)
         expected = _brute_force_first_fault(state)
         assert expected is not None
@@ -551,3 +548,137 @@ class TestWholeArrayCheckers:
                 if state.down[v][col] == 0:
                     del state.down[v][col]
             assert _checker_fault(state) == _brute_force_first_fault(state), be
+
+
+# ----------------------------------------------------------------------
+# The frontier store: one level buffer, fused round kernels
+# ----------------------------------------------------------------------
+def _assert_one_level_buffer(state):
+    assert np.shares_memory(state.level, state._level_arr)
+    for v in range(state.graph.num_vertices):
+        lvl = state.level[v]
+        assert type(lvl) is int
+        assert lvl == state._level_arr[v]
+
+
+class TestSharedLevelBuffer:
+    def test_every_write_path_lands_in_the_reader_word(self):
+        # Vertex 0 has 20 neighbours (the vectorised set_level path),
+        # vertex 21 has two (the scalar path).
+        edges = [(0, v) for v in range(1, 21)] + [(21, 1), (21, 2), (1, 2)]
+        _, state = make_state(22, edges, levels_per_group=4, backend="columnar-frontier")
+        level = state.level
+        _assert_one_level_buffer(state)
+        state.set_level(0, 5)
+        assert level[0] == 5
+        _assert_one_level_buffer(state)
+        state.set_level(21, 3)
+        assert level[21] == 3
+        _assert_one_level_buffer(state)
+        movers = np.array([1, 2], dtype=np.int64)
+        src, flat, _, co, lw = state.gather_round(movers)
+        state.bulk_raise_level_rows(movers, 0, src, flat, co, lw)
+        assert level[1] == level[2] == 1
+        _assert_one_level_buffer(state)
+        snap = state.snapshot()
+        movers = np.array([0, 21], dtype=np.int64)
+        src, flat, _, co, lw = state.gather_round(movers)
+        state.bulk_move_to_level_rows(movers, 2, src, flat, co, lw)
+        assert level[0] == level[21] == 2
+        _assert_one_level_buffer(state)
+        state.assert_counters_consistent()
+        state.load_levels([4] * 22)
+        assert state.levels_snapshot() == [4] * 22
+        _assert_one_level_buffer(state)
+        state.restore(snap)
+        assert (level[0], level[1], level[21]) == (5, 1, 3)
+        _assert_one_level_buffer(state)
+        state.assert_counters_consistent()
+        state.reset()
+        assert state.levels_snapshot() == [0] * 22
+        _assert_one_level_buffer(state)
+        # Readers keep the object they were handed: it is never rebound.
+        assert state.level is level
+
+
+def _random_store_pair(rng, n, p, top):
+    """Two frontier stores over equal random graphs at one random level
+    assignment (levels in ``[0, top]``)."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    levels = rng.integers(0, top + 1, size=n)
+    stores = []
+    for _ in range(2):
+        _, state = make_state(n, edges, levels_per_group=4, backend="columnar-frontier")
+        state.load_levels(levels)
+        stores.append(state)
+    return stores
+
+
+def _assert_same_state(fused, ref):
+    assert fused.levels_snapshot() == ref.levels_snapshot()
+    assert np.array_equal(fused.up_deg, ref.up_deg)
+    assert np.array_equal(fused.down1, ref.down1)
+    fused.assert_counters_consistent()
+
+
+class TestFusedRoundKernels:
+    """One round through ``gather_round`` and a bulk kernel equals moving
+    the same movers one ``set_level`` at a time."""
+
+    def test_gather_positions_index_the_csr_targets(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            state, _ = _random_store_pair(rng, 14, 0.3, 4)
+            movers = np.flatnonzero(rng.random(14) < 0.4).astype(np.int64)
+            src, flat, pos = state.gather_rows(movers)
+            assert np.array_equal(state._csr_targets[pos], flat)
+            offsets = state._csr_offsets
+            assert np.all((offsets[src] <= pos) & (pos < offsets[src + 1]))
+            assert sorted(zip(src.tolist(), flat.tolist())) == sorted(
+                (v, w) for v in movers.tolist()
+                for w in state.graph.neighbors_unsafe(v)
+            )
+
+    def test_raise_round_matches_per_mover_set_level(self):
+        rng = np.random.default_rng(5)
+        co_rounds = 0
+        for _ in range(150):
+            fused, ref = _random_store_pair(rng, 12, 0.4, 3)
+            old = int(rng.integers(0, 4))
+            at_old = np.flatnonzero(fused._level_arr == old)
+            movers = at_old[rng.random(at_old.size) < 0.6].astype(np.int64)
+            src, flat, _, co, lw = fused.gather_round(movers)
+            co_rounds += bool(co.any())
+            requeue = fused.bulk_raise_level_rows(movers, old, src, flat, co, lw)
+            for v in movers.tolist():
+                ref.set_level(v, old + 1)
+            _assert_same_state(fused, ref)
+            moved = set(movers.tolist())
+            assert requeue.tolist() == sorted(
+                {w for v in moved for w in ref.graph.neighbors_unsafe(v)
+                 if w not in moved and ref.level[w] == old + 1}
+            )
+        assert co_rounds >= 30  # adjacent co-movers are well covered
+
+    def test_down_round_matches_per_mover_set_level(self):
+        rng = np.random.default_rng(7)
+        co_rounds = 0
+        for _ in range(150):
+            fused, ref = _random_store_pair(rng, 12, 0.4, 5)
+            lstar = int(rng.integers(0, 4))
+            above = np.flatnonzero(fused._level_arr > lstar)
+            movers = above[rng.random(above.size) < 0.6].astype(np.int64)
+            src, flat, _, co, lw = fused.gather_round(movers)
+            co_rounds += bool(co.any())
+            fused.bulk_move_to_level_rows(movers, lstar, src, flat, co, lw)
+            for v in movers.tolist():
+                ref.set_level(v, lstar)
+            _assert_same_state(fused, ref)
+            # The delete driver's requeue: non-mover neighbours left above
+            # the landing level, read off the shared pre-round masks.
+            moved = set(movers.tolist())
+            assert sorted(set(flat[(lw > lstar) & ~co].tolist())) == sorted(
+                {w for v in moved for w in ref.graph.neighbors_unsafe(v)
+                 if w not in moved and ref.level[w] > lstar}
+            )
+        assert co_rounds >= 30
