@@ -15,9 +15,12 @@ live level.
 Reads (Algorithm 4) are **lock-free**: the only blocking-free retry loop
 re-runs when the batch number advanced or the live level changed between the
 two "sandwich" collects — both of which certify that an update made progress,
-which is the paper's lock-freedom argument (§6.2).  Updates run on the
-calling (update) thread and always terminate — they are *live* in the
-paper's terminology.
+which is the paper's lock-freedom argument (§6.2).  The loop is written once,
+as the :func:`read_steps` generator behind :meth:`CPLDS.read_verbose`, the
+strawman's read and the stepped reader; each engine supplies only its DAG
+check (``_dag_steps``), and :meth:`CPLDS.read` is the hand-inlined hot
+transcription.  Updates run on the calling (update) thread and always
+terminate — they are *live* in the paper's terminology.
 
 Thread-safety contract: any number of reader threads may call :meth:`read` /
 :meth:`read_verbose` concurrently with one in-flight batch (single-writer,
@@ -28,7 +31,7 @@ reproduction (see DESIGN.md substitution table for the multi-writer case).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from repro.core.descriptor import UNMARKED
 from repro.core.marking import DescriptorTable
@@ -73,6 +76,74 @@ class ReadResult:
     retries: int
     #: The batch number the read linearized in.
     batch: int
+
+
+def read_steps(
+    impl, v: Vertex, max_retries: int
+) -> Iterator[tuple[int, bool, int, int, list[str]] | None]:
+    """Algorithm 4, the sandwiched read, written once.
+
+    A generator that yields ``None`` after every shared-memory access, so
+    a scheduler can suspend the read between any two of them
+    (:class:`repro.runtime.stepping.SteppedRead`), and whose last yield is
+    the result; :func:`drive` runs it with no interleaving
+    (``read_verbose``).  ``impl`` supplies ``batch_number``, the live
+    levels ``plds.state.level`` and ``_dag_steps(v)``: the engine's DAG
+    check as a sub-generator that returns ``v``'s old level while its DAG
+    is marked, else -1.
+
+    The read collects (batch number, live level), runs the DAG check, and
+    collects the pair again.  If the batch number did not change it
+    answers the old level (DAG marked) or the live level (unchanged across
+    the check); otherwise it retries, and every retry names its cause:
+    ``"batch"`` (``b1 != b2``) or ``"level"`` (``l1 != l2``) — an update
+    made progress, which is the lock-freedom argument (§6.2).
+
+    The result is ``(level, from_descriptor, retries, batch,
+    retry_causes)``; it is yielded rather than returned, because a plain
+    ``for`` loop over the steps then costs no ``StopIteration`` handling.
+    The hot ``read`` of :class:`CPLDS` and of
+    :class:`~repro.core.frontier.FrontierCPLDS` are hand-inlined
+    transcriptions of this loop (a generator costs about 4.5x per read).
+    """
+    level = impl.plds.state.level
+    dag_steps = impl._dag_steps
+    causes: list[str] = []
+    while True:
+        b1 = impl.batch_number
+        yield
+        l1 = level[v]
+        yield
+        old = yield from dag_steps(v)
+        l2 = level[v]
+        yield
+        b2 = impl.batch_number
+        yield
+        if b1 != b2:
+            causes.append("batch")
+        elif old >= 0:
+            yield old, True, len(causes), b1, causes
+            return
+        elif l1 == l2:
+            yield l1, False, len(causes), b1, causes
+            return
+        else:
+            causes.append("level")
+        retries = len(causes)
+        if _REC.enabled:
+            _REC.record(_EV.READ_RETRY, v, b1, b2, retries)
+        if retries > max_retries:
+            raise ReproError(
+                f"read({v}) exceeded {max_retries} retries; "
+                "the update stream is outpacing the reader"
+            )
+
+
+def drive(steps: Iterator[tuple | None]) -> tuple:
+    """Run a :func:`read_steps` generator to its end; return its result."""
+    for result in steps:
+        pass
+    return result
 
 
 class _MarkingHooks(UpdateHooks):
@@ -326,14 +397,24 @@ class CPLDS:
     # ------------------------------------------------------------------
     # Reads (read processes — lock-free, callable from any thread)
     # ------------------------------------------------------------------
+    def _dag_steps(self, v: Vertex) -> Generator[None, None, int]:
+        """The descriptor fetch and ``check_DAG`` of :func:`read_steps`:
+        ``v``'s old level while its DAG is marked, else -1."""
+        desc = self.descriptors.slots[v]
+        yield
+        marked = self.descriptors.check_dag(desc)
+        yield
+        return desc.old_level if marked else -1  # type: ignore[union-attr]
+
     def read(self, v: Vertex) -> float:
         """Linearizable coreness estimate of ``v`` (Algorithm 4).
 
-        The hot path: identical protocol to :meth:`read_verbose` but with no
-        per-read allocation (no :class:`ReadResult`) — a table lookup away
-        from NonSync's cost once the sandwich passes.  While observability
-        is on, the success path tags the read's staleness class (live = 0
-        epochs behind, descriptor = 1); disabled, it costs one branch.
+        The hot path: a hand-inlined transcription of :func:`read_steps`
+        (pinned to it by the tests) with no per-read allocation — a table
+        lookup away from NonSync's cost once the sandwich passes.  While
+        observability is on, the success path tags the read's staleness
+        class (live = 0 epochs behind, descriptor = 1); disabled, it costs
+        one branch.
         """
         level = self.plds.state.level
         slots = self.descriptors.slots
@@ -375,51 +456,18 @@ class CPLDS:
         return self.read_verbose(v).level
 
     def read_verbose(self, v: Vertex) -> ReadResult:
-        """Algorithm 4 with full telemetry.
-
-        The double sandwich: (batch number, live level) collected before and
-        after the descriptor check must both match, else retry.
-        """
-        level = self.plds.state.level  # the live-level array
-        slots = self.descriptors.slots
-        params = self.params
-        retries = 0
-        result: ReadResult | None = None
-        while result is None:
-            b1 = self.batch_number
-            l1 = level[v]
-            desc = slots[v]
-            marked = self.descriptors.check_dag(desc)
-            l2 = level[v]
-            b2 = self.batch_number
-            if b1 == b2:
-                if marked:
-                    old = desc.old_level  # type: ignore[union-attr]
-                    result = ReadResult(
-                        estimate=params.coreness_estimate(old),
-                        level=old,
-                        from_descriptor=True,
-                        retries=retries,
-                        batch=b1,
-                    )
-                    break
-                if l1 == l2:
-                    result = ReadResult(
-                        estimate=params.coreness_estimate(l1),
-                        level=l1,
-                        from_descriptor=False,
-                        retries=retries,
-                        batch=b1,
-                    )
-                    break
-            retries += 1
-            if _REC.enabled:
-                _REC.record(_EV.READ_RETRY, v, b1, b2, retries)
-            if retries > self.max_read_retries:
-                raise ReproError(
-                    f"read({v}) exceeded {self.max_read_retries} retries; "
-                    "the update stream is outpacing the reader"
-                )
+        """Algorithm 4 with full telemetry: :func:`read_steps` run to its
+        end with no interleaving."""
+        level, from_descriptor, retries, batch, _ = drive(
+            read_steps(self, v, self.max_read_retries)
+        )
+        result = ReadResult(
+            estimate=self.params.coreness_estimate(level),
+            level=level,
+            from_descriptor=from_descriptor,
+            retries=retries,
+            batch=batch,
+        )
         if _OBS.enabled:
             _READS_VERBOSE.inc()
             if result.from_descriptor:

@@ -17,11 +17,13 @@ counters as a proof that only the execution strategy changed:
   (:class:`FrontierMarkingHooks`); dependency-DAG edges are derived from the
   same gathered rows the level kernels use, and merged in one grouped union
   per phase;
-* reads (:meth:`FrontierCPLDS.read`) walk the parent array instead of
-  descriptor objects — same sandwich, same MARKED/NOT_MARKED semantics,
-  because unions are deferred to the phase end: mid-phase every marked
-  vertex is its own root, so a reader that finds ``marked[v]`` returns
-  ``old_level[v]`` exactly as ``check_DAG`` would.
+* reads walk the parent array instead of descriptor objects
+  (:meth:`FrontierCPLDS._dag_steps` inside the shared
+  :func:`~repro.core.cplds.read_steps`, hand-inlined in the hot
+  :meth:`FrontierCPLDS.read`) — same sandwich, same MARKED/NOT_MARKED
+  semantics, because unions are deferred to the phase end: mid-phase
+  every marked vertex is its own root, so a reader that finds
+  ``marked[v]`` returns ``old_level[v]`` exactly as ``check_DAG`` would.
 
 Hook dispatch
 -------------
@@ -30,11 +32,13 @@ The round drivers adapt to whatever hooks are installed:
 * a bare :class:`~repro.lds.plds.UpdateHooks` (the NonSync/SyncReads
   baselines, the plain PLDS engine) — no marking work at all;
 * :class:`FrontierMarkingHooks` (``supports_bulk_moves``) — whole-frontier
-  marking from the gathered rows, zero per-vertex Python;
-* anything else (a :class:`~repro.runtime.inject.HookChain` carrying chaos
-  hooks, probes, ledgers, or a classic
-  :class:`~repro.core.cplds._MarkingHooks`) — the scalar per-mover
-  ``before_move`` loop, preserving every observer's call sequence.
+  marking from the gathered rows, zero per-vertex Python; so does a
+  :class:`~repro.runtime.inject.HookChain` that puts it first and chains
+  only boundary observers (probes, the stepped-read scheduler, monitors);
+* anything else (a chain carrying chaos hooks or ledgers, which watch
+  every move, or a classic :class:`~repro.core.cplds._MarkingHooks`) — the
+  scalar per-mover ``before_move`` loop, preserving every observer's call
+  sequence.
 """
 
 from __future__ import annotations
@@ -43,17 +47,11 @@ import heapq
 import math
 import threading
 import time
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
-from repro.core.cplds import (
-    CPLDS,
-    ReadResult,
-    _READ_RETRIES,
-    _READS_VERBOSE,
-    _RETRY_HIST,
-)
+from repro.core.cplds import CPLDS, _READ_RETRIES
 from repro.arrays import unique
 from repro.errors import ReproError
 from repro.lds.plds import PLDS, Phase, UpdateHooks
@@ -524,8 +522,31 @@ class FrontierCPLDS(CPLDS):
     # ------------------------------------------------------------------
     # Reads: the sandwich over the parent array
     # ------------------------------------------------------------------
+    def _dag_steps(self, v: Vertex) -> Generator[None, None, int]:
+        """The parent-chain walk of :func:`~repro.core.cplds.read_steps`,
+        one step per ``marked``/``parent`` load: ``v``'s old level while
+        its DAG is marked, else -1 (see :meth:`read`)."""
+        marked = self._marked
+        parent = self._uf.parent
+        node = v
+        while True:
+            flag = marked[node]
+            yield
+            if not flag:
+                return -1
+            p = int(parent[node])
+            yield
+            if p == node:
+                break
+            node = p
+        old = int(self._old_level[v])
+        yield
+        return old
+
     def read(self, v: Vertex) -> float:
-        """Algorithm 4 against the array marking state.
+        """Algorithm 4 against the array marking state: the hand-inlined
+        transcription of :func:`~repro.core.cplds.read_steps` with
+        :meth:`_dag_steps` (pinned to it by the tests).
 
         ``v`` counts as marked iff walking its parent chain reaches a node
         that is both marked and a root — the array transcription of
@@ -573,90 +594,14 @@ class FrontierCPLDS(CPLDS):
                     "the update stream is outpacing the reader"
                 )
 
-    def read_verbose(self, v: Vertex) -> ReadResult:
-        level = self.plds.state.level
-        marked = self._marked
-        parent = self._uf.parent
-        params = self.params
-        retries = 0
-        result = None
-        while result is None:
-            b1 = self.batch_number
-            l1 = level[v]
-            node = v
-            in_dag = False
-            while marked[node]:
-                p = int(parent[node])
-                if p == node:
-                    in_dag = True
-                    break
-                node = p
-            l2 = level[v]
-            b2 = self.batch_number
-            if b1 == b2:
-                if in_dag:
-                    old = int(self._old_level[v])
-                    result = ReadResult(
-                        estimate=params.coreness_estimate(old),
-                        level=old,
-                        from_descriptor=True,
-                        retries=retries,
-                        batch=b1,
-                    )
-                    break
-                if l1 == l2:
-                    result = ReadResult(
-                        estimate=params.coreness_estimate(l1),
-                        level=l1,
-                        from_descriptor=False,
-                        retries=retries,
-                        batch=b1,
-                    )
-                    break
-            retries += 1
-            if _REC.enabled:
-                _REC.record(_EV.READ_RETRY, v, b1, b2, retries)
-            if retries > self.max_read_retries:
-                raise ReproError(
-                    f"read({v}) exceeded {self.max_read_retries} retries; "
-                    "the update stream is outpacing the reader"
-                )
-        if _OBS.enabled:
-            _READS_VERBOSE.inc()
-            if result.from_descriptor:
-                _READS_DESCRIPTOR.inc()
-                _STALENESS.observe(1)
-            else:
-                _READS_LIVE.inc()
-                _STALENESS.observe(0)
-            if retries:
-                _READ_RETRIES.inc(retries)
-                _RETRY_HIST.observe(retries)
-        if _REC.enabled:
-            _REC.record(
-                _EV.READ_OK,
-                v,
-                result.batch,
-                1 if result.from_descriptor else 0,
-                retries,
-            )
-        return result
-
     # ------------------------------------------------------------------
     # Recovery / state management
     # ------------------------------------------------------------------
     def _reset_marking(self) -> None:
+        # The hooks' pair buffer needs no reset: every batch_begin clears it.
         self._marked[:] = False
         parent = self._uf.parent
         parent[:] = np.arange(len(parent), dtype=np.int64)
-        hooks = self._frontier_hooks()
-        if hooks is not None:
-            hooks._clear_pairs()
-            hooks._edges = ()
-
-    def _frontier_hooks(self) -> FrontierMarkingHooks | None:
-        hooks = self.plds.hooks
-        return hooks if isinstance(hooks, FrontierMarkingHooks) else None
 
     def restore_state(self, snap: dict) -> None:
         self._reset_marking()

@@ -18,11 +18,10 @@ atomicity rule.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Generator, Iterable, Optional, Sequence
 
-from repro.core.cplds import ReadResult
+from repro.core.cplds import ReadResult, drive, read_steps
 from repro.core.descriptor import Descriptor, UNMARKED
-from repro.errors import ReproError
 from repro.lds.params import LDSParams
 from repro.lds.plds import PLDS, Phase, UpdateHooks
 from repro.runtime.executor import Executor
@@ -102,6 +101,14 @@ class NaiveMarkedKCore:
     def read_level(self, v: Vertex) -> int:
         return self.read_verbose(v).level
 
+    def _dag_steps(self, v: Vertex) -> Generator[None, None, int]:
+        """The single-descriptor check of :func:`~repro.core.cplds.read_steps`:
+        the old level if ``v`` itself is marked, else -1.  There is no DAG
+        walk — the strawman's flaw."""
+        desc = self.slots[v]
+        yield
+        return -1 if desc is UNMARKED else desc.old_level
+
     def read_verbose(self, v: Vertex) -> ReadResult:
         """Sandwiched read against the single descriptor (no DAG check).
 
@@ -109,34 +116,16 @@ class NaiveMarkedKCore:
         violation the checker finds is attributable to the missing DAG rule,
         not to torn batch numbers).
         """
-        level = self.plds.state.level
-        retries = 0
-        while True:
-            b1 = self.batch_number
-            l1 = level[v]
-            desc = self.slots[v]
-            l2 = level[v]
-            b2 = self.batch_number
-            if b1 == b2:
-                if desc is not UNMARKED:
-                    return ReadResult(
-                        estimate=self.params.coreness_estimate(desc.old_level),
-                        level=desc.old_level,
-                        from_descriptor=True,
-                        retries=retries,
-                        batch=b1,
-                    )
-                if l1 == l2:
-                    return ReadResult(
-                        estimate=self.params.coreness_estimate(l1),
-                        level=l1,
-                        from_descriptor=False,
-                        retries=retries,
-                        batch=b1,
-                    )
-            retries += 1
-            if retries > self.max_read_retries:
-                raise ReproError(f"naive read({v}) exceeded retry bound")
+        level, from_descriptor, retries, batch, _ = drive(
+            read_steps(self, v, self.max_read_retries)
+        )
+        return ReadResult(
+            estimate=self.params.coreness_estimate(level),
+            level=level,
+            from_descriptor=from_descriptor,
+            retries=retries,
+            batch=batch,
+        )
 
     # -- conveniences ----------------------------------------------------
     def coreness_estimate(self, v: Vertex) -> float:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import EdgeStateError, SelfLoopError, VertexOutOfRange
-from repro.types import Edge, EdgeBatch, Vertex, canonical_edge, canonicalize_batch
+from repro.types import Edge, EdgeBatch, Vertex
 
 
 class DynamicGraph:
@@ -161,8 +161,7 @@ class DynamicGraph:
         batch pre-processing in the paper's framework.
         """
         count = 0
-        for u, v in canonicalize_batch(edges):
-            self._check_edge_endpoints(u, v)
+        for u, v in self._canonical_batch(edges):
             if v in self._adj[u]:
                 if strict:
                     raise EdgeStateError(f"edge ({u}, {v}) already present")
@@ -178,8 +177,7 @@ class DynamicGraph:
     def delete_batch(self, edges: EdgeBatch | Iterable[Edge], *, strict: bool = False) -> int:
         """Delete a batch of edges; return how many were actually removed."""
         count = 0
-        for u, v in canonicalize_batch(edges):
-            self._check_edge_endpoints(u, v)
+        for u, v in self._canonical_batch(edges):
             if v not in self._adj[u]:
                 if strict:
                     raise EdgeStateError(f"edge ({u}, {v}) not present")
@@ -204,20 +202,51 @@ class DynamicGraph:
     # Validation helpers
     # ------------------------------------------------------------------
     def filter_new_edges(self, edges: Iterable[Edge]) -> list[Edge]:
-        """Canonical sub-batch of ``edges`` not already in the graph."""
+        """Canonical sub-batch of ``edges`` not already in the graph.
+
+        Validates every endpoint before returning (see
+        :meth:`_canonical_batch`), so a caller that filters before it
+        mutates never half-applies a batch with a bad edge in it.
+        """
+        adj = self._adj
+        return [e for e in self._canonical_batch(edges) if e[1] not in adj[e[0]]]
+
+    def filter_present_edges(
+        self, edges: Iterable[Edge], inserted: Iterable[Edge] = ()
+    ) -> list[Edge]:
+        """Canonical sub-batch of ``edges`` currently in the graph, or in
+        ``inserted`` (edges the caller inserts before deleting these).
+
+        Validates every endpoint, like :meth:`filter_new_edges`.
+        """
+        adj = self._adj
+        pending = set(inserted)
         return [
             e
-            for e in canonicalize_batch(edges)
-            if e[1] not in self._adj[e[0]]
+            for e in self._canonical_batch(edges)
+            if e[1] in adj[e[0]] or e in pending
         ]
 
-    def filter_present_edges(self, edges: Iterable[Edge]) -> list[Edge]:
-        """Canonical sub-batch of ``edges`` currently in the graph."""
-        return [
-            e
-            for e in canonicalize_batch(edges)
-            if e[1] in self._adj[e[0]]
-        ]
+    def _canonical_batch(self, edges: Iterable[Edge]) -> list[Edge]:
+        """:func:`~repro.types.canonicalize_batch` that also validates.
+
+        Raises :class:`~repro.errors.VertexOutOfRange` or
+        :class:`~repro.errors.SelfLoopError` for the first bad edge, after
+        reading the batch and before anything is mutated.
+        """
+        n = self._n
+        seen: set[Edge] = set()
+        out: list[Edge] = []
+        for u, v in edges:
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n or u == v:
+                self._check_edge_endpoints(u, v)
+            e = (u, v)
+            if e not in seen:
+                seen.add(e)
+                out.append(e)
+        return out
 
     def _check_vertex(self, v: Vertex) -> None:
         if not 0 <= v < self._n:

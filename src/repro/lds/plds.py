@@ -36,7 +36,7 @@ from repro.lds.store import LevelStore, make_store
 from repro.obs import COUNT_BUCKETS, REGISTRY as _OBS
 from repro.obs.flightrec import RECORDER as _REC, EventType as _EV
 from repro.runtime.executor import Executor, SequentialExecutor
-from repro.types import Edge, Vertex, canonicalize_batch
+from repro.types import Edge, Vertex
 
 Phase = Literal["insert", "delete"]
 
@@ -145,7 +145,11 @@ class PLDS:
     # Batch updates
     # ------------------------------------------------------------------
     def batch_insert(self, edges: Iterable[Edge]) -> int:
-        """Apply a batch of insertions; return the number of new edges."""
+        """Apply a batch of insertions; return the number of new edges.
+
+        The filter validates every edge first: an out-of-range or self-loop
+        edge raises before the graph, levels or counters change.
+        """
         batch = self.graph.filter_new_edges(edges)
         self._reset_batch_counters()
         self._insert_phase(batch)
@@ -178,13 +182,14 @@ class PLDS:
         deletion sub-batches").  Edges appearing in both sub-batches are
         treated as insert-then-delete.
         """
-        ins = canonicalize_batch(insertions)
-        dels = canonicalize_batch(deletions)
+        # Both sub-batches are filtered, which validates them, before either
+        # phase mutates anything; an edge in both counts as present for the
+        # deletion filter because the insertion phase runs first.
+        ins = self.graph.filter_new_edges(insertions)
+        dels = self.graph.filter_present_edges(deletions, inserted=ins)
         self._reset_batch_counters()
-        ins = self.graph.filter_new_edges(ins)
         if ins:
             self._insert_phase(ins)
-        dels = self.graph.filter_present_edges(dels)
         if dels:
             self._delete_phase(dels)
         return len(ins), len(dels)

@@ -22,10 +22,24 @@ from repro.types import Edge
 
 
 class HookChain(UpdateHooks):
-    """Fan one PLDS hook stream out to several hook objects, in order."""
+    """Fan one PLDS hook stream out to several hook objects, in order.
+
+    When the first hook takes whole-frontier moves
+    (``supports_bulk_moves``) and no later hook watches single moves
+    (overrides ``before_move``), the chain takes them too and hands them
+    to the first hook alone: boundary observers such as probes and the
+    stepped-read scheduler then see the bulk path production runs.
+    """
 
     def __init__(self, *hooks: UpdateHooks) -> None:
         self.hooks = list(hooks)
+        first = hooks[0]
+        if getattr(first, "supports_bulk_moves", False) and all(
+            type(h).before_move is UpdateHooks.before_move for h in hooks[1:]
+        ):
+            self.supports_bulk_moves = True
+            self.bulk_insert_moves = first.bulk_insert_moves
+            self.bulk_delete_moves = first.bulk_delete_moves
 
     def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
         for h in self.hooks:

@@ -2,13 +2,17 @@
 
 The thread harness and round-boundary injection interleave *whole* reads
 with updates; this module goes one level finer.  A :class:`SteppedRead`
-executes Algorithm 4 as a coroutine that yields control after **every shared
-memory access** — between the two batch-number collects, between the level
-collects, around the descriptor fetch and the DAG check — so a scheduler can
-suspend a reader at any protocol step, run an arbitrary amount of update
-work, and resume it.  This is exactly the adversary the sandwich
-(double-collect) exists to defeat, and it is the only way to exercise the
-two retry branches (`b1 != b2`, `l1 != l2`) deterministically.
+drives :func:`repro.core.cplds.read_steps` — the one implementation of
+Algorithm 4, which yields after **every shared memory access** (the two
+batch-number collects, the two level collects, and each load of the
+engine's DAG check) — so a scheduler can suspend a reader at any protocol
+step, run an arbitrary amount of update work, and resume it.  This is
+exactly the adversary the sandwich (double-collect) exists to defeat, and
+it is the only way to exercise the two retry branches (`b1 != b2`,
+`l1 != l2`) deterministically.  It works on every engine that supplies the
+DAG check: both CPLDS engines (the descriptor table of ``object``, the
+``marked``/``parent`` arrays of ``columnar-frontier``) and the naive
+strawman.
 
 :class:`InterleavedScheduler` drives a population of stepped readers against
 a real batch stream, advancing each reader by a seeded random number of
@@ -25,9 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.core.cplds import CPLDS
+from repro.core.cplds import CPLDS, read_steps
 from repro.errors import SimulationError
 from repro.lds.plds import UpdateHooks
 from repro.runtime.inject import HookChain
@@ -49,7 +53,8 @@ class SteppedResult:
 
 
 class SteppedRead:
-    """Algorithm 4 as a resumable coroutine.
+    """Algorithm 4 as a resumable coroutine over any engine's
+    :func:`~repro.core.cplds.read_steps`.
 
     ``advance(k)`` executes up to ``k`` protocol steps; returns the
     :class:`SteppedResult` once the read completes, else ``None``.
@@ -61,71 +66,27 @@ class SteppedRead:
         self.max_retries = max_retries
         self.result: Optional[SteppedResult] = None
         self._steps = 0
-        self._gen = self._protocol()
-
-    def _protocol(self) -> Generator[None, None, None]:
-        cp = self.cplds
-        v = self.vertex
-        level = cp.plds.state.level
-        slots = cp.descriptors.slots
-        retries = 0
-        causes: list[str] = []
-        while True:
-            b1 = cp.batch_number
-            yield
-            l1 = level[v]
-            yield
-            desc = slots[v]
-            yield
-            marked = cp.descriptors.check_dag(desc)
-            yield
-            l2 = level[v]
-            yield
-            b2 = cp.batch_number
-            yield
-            if b1 != b2:
-                retries += 1
-                causes.append("batch")
-            elif marked:
-                self.result = SteppedResult(
-                    vertex=v,
-                    level=desc.old_level,  # type: ignore[union-attr]
-                    estimate=cp.params.coreness_estimate(desc.old_level),
-                    from_descriptor=True,
-                    retries=retries,
-                    retry_causes=causes,
-                    steps=self._steps,
-                )
-                return
-            elif l1 == l2:
-                self.result = SteppedResult(
-                    vertex=v,
-                    level=l1,
-                    estimate=cp.params.coreness_estimate(l1),
-                    from_descriptor=False,
-                    retries=retries,
-                    retry_causes=causes,
-                    steps=self._steps,
-                )
-                return
-            else:
-                retries += 1
-                causes.append("level")
-            if retries > self.max_retries:
-                raise SimulationError(
-                    f"stepped read of {v} exceeded {self.max_retries} retries"
-                )
+        self._gen = read_steps(cplds, vertex, max_retries)
 
     def advance(self, steps: int) -> Optional[SteppedResult]:
         """Run up to ``steps`` protocol steps; result once complete."""
         for _ in range(steps):
             if self.result is not None:
                 break
-            try:
-                next(self._gen)
+            out = next(self._gen)
+            if out is None:
                 self._steps += 1
-            except StopIteration:
-                break
+                continue
+            level, from_descriptor, retries, _batch, causes = out
+            self.result = SteppedResult(
+                vertex=self.vertex,
+                level=level,
+                estimate=self.cplds.params.coreness_estimate(level),
+                from_descriptor=from_descriptor,
+                retries=retries,
+                retry_causes=causes,
+                steps=self._steps,
+            )
         return self.result
 
 
@@ -152,7 +113,8 @@ class InterleavedScheduler:
     Parameters
     ----------
     cplds:
-        A fresh CPLDS (this scheduler installs its own probe hooks).
+        A fresh engine with a DAG check — either CPLDS engine or the naive
+        strawman (this scheduler chains its own boundary hooks).
     num_readers:
         Concurrent stepped reads kept in flight.
     seed:

@@ -18,17 +18,10 @@ from repro.workloads.mixes import (
     preprocess_mixed_batch,
 )
 from repro.workloads.reads import UniformReadGenerator, ZipfReadGenerator
-from repro.workloads.runner import (
-    ReadHeavyResult,
-    ReplayResult,
-    replay_stream,
-    run_read_heavy,
-)
+from repro.workloads.runner import ReadHeavyResult, run_read_heavy
 
 __all__ = [
     "ReadHeavyResult",
-    "ReplayResult",
-    "replay_stream",
     "run_read_heavy",
     "BulkReadOp",
     "ReadHeavyMixGenerator",

@@ -1,81 +1,18 @@
-"""Replay a batch stream through any registered engine.
+"""Replay a read-heavy update/read mix through any CPLDS-family engine.
 
-This is the glue the examples and quick experiments kept re-implementing:
-build an engine via :mod:`repro.engines`, feed it a
-:class:`~repro.workloads.batches.BatchStream` (or any iterable of
-:class:`~repro.workloads.batches.Batch`) batch by batch, and collect the
-per-batch application counts.  Because construction goes through the
-registry, the same replay runs unchanged against every engine and
-level-store backend combination — which is exactly what the differential
-tests rely on.
+:func:`run_read_heavy` builds the engine through the registry
+(:mod:`repro.engines`) with an attached epoch store, applies the mix's
+update batches and answers its bulk reads from pinned epochs, so the same
+replay runs unchanged against every level-store backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro import engines
-from repro.errors import WorkloadError
 from repro.lds.params import LDSParams
-from repro.workloads.batches import Batch, BatchStream
 from repro.workloads.mixes import ReadHeavyMixGenerator
-
-
-@dataclass(frozen=True)
-class ReplayResult:
-    """Outcome of replaying a stream: the engine plus per-batch counts."""
-
-    engine: object
-    applied: tuple[int, ...]
-
-    @property
-    def total_applied(self) -> int:
-        return sum(self.applied)
-
-
-def replay_stream(
-    stream: BatchStream | Iterable[Batch],
-    *,
-    num_vertices: int | None = None,
-    engine: str = "cplds",
-    backend: str = "object",
-    params: LDSParams | None = None,
-    executor=None,
-    check_invariants: bool = False,
-) -> ReplayResult:
-    """Build an engine from the registry and replay a stream into it.
-
-    ``num_vertices`` is taken from the stream when it is a
-    :class:`BatchStream`; for a bare batch iterable it must be given.
-    With ``check_invariants=True`` the engine's ``check_invariants`` is run
-    after every batch (slow; meant for tests and examples).
-    """
-    if isinstance(stream, BatchStream):
-        n = stream.num_vertices
-        batches: Iterable[Batch] = stream.batches
-    else:
-        if num_vertices is None:
-            raise WorkloadError(
-                "num_vertices is required when replaying a bare batch iterable"
-            )
-        n = num_vertices
-        batches = stream
-
-    impl = engines.create(
-        engine, n, backend=backend, params=params, executor=executor
-    )
-    applied: list[int] = []
-    for batch in batches:
-        if batch.kind == "insert":
-            applied.append(impl.insert_batch(batch.edges))
-        elif batch.kind == "delete":
-            applied.append(impl.delete_batch(batch.edges))
-        else:  # pragma: no cover - Batch is Literal-typed
-            raise WorkloadError(f"unknown batch kind {batch.kind!r}")
-        if check_invariants:
-            impl.check_invariants()
-    return ReplayResult(engine=impl, applied=tuple(applied))
 
 
 @dataclass(frozen=True)

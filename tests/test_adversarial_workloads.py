@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import engines
 from repro.core import CPLDS
 from repro.lds import LDSParams
 from repro.runtime.inject import InjectionProbe, attach_probe
@@ -83,9 +84,13 @@ class TestCPLDSSurvivesAdversaries:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sandwich_adversary_under_stepped_reads(self, seed):
-        n, stream = adv.sandwich_adversary(12)
-        impl = CPLDS(n, params=LDSParams(n, levels_per_group=4))
-        sched = InterleavedScheduler(impl, num_readers=6, seed=seed)
-        results = sched.run(stream)
-        assert results  # validation happens inside the scheduler
-        impl.check_invariants()
+        for backend in engines.backends():
+            n, stream = adv.sandwich_adversary(12)
+            impl = engines.create(
+                "cplds", n, backend=backend,
+                params=LDSParams(n, levels_per_group=4),
+            )
+            sched = InterleavedScheduler(impl, num_readers=6, seed=seed)
+            results = sched.run(stream)
+            assert results  # validation happens inside the scheduler
+            impl.check_invariants()

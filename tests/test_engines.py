@@ -28,7 +28,12 @@ from repro.core import CPLDS
 from repro.engines import CoreEngine
 from repro.lds.params import LDSParams
 from repro.lds.store import BACKENDS
-from repro.errors import CheckpointCorruptError, JournalCorruptError
+from repro.errors import (
+    CheckpointCorruptError,
+    JournalCorruptError,
+    SelfLoopError,
+    VertexOutOfRange,
+)
 from repro.persist import (
     BatchJournal,
     _checkpoint_checksum,
@@ -38,7 +43,7 @@ from repro.persist import (
     save_cplds,
 )
 from repro.runtime.chaos import ChaosHooks
-from repro.runtime.inject import HookChain
+from repro.runtime.inject import HookChain, InjectionProbe, attach_probe
 from repro.runtime.supervisor import JOURNAL_FILENAME, SupervisedCPLDS
 
 
@@ -347,6 +352,117 @@ class TestPairBufferBound:
         for got, want in zip(filtered, unfiltered):
             assert np.array_equal(got, want)
         impls["filtered"].check_invariants()
+
+
+class TestChainedObserversKeepBulkMarking:
+    """A chain whose later hooks only watch boundaries keeps the frontier
+    engine on whole-frontier marking; a chain that watches moves does not."""
+
+    @staticmethod
+    def _run(probe: bool):
+        from repro.core.frontier import _hook_mode
+
+        n = 24
+        impl = engines.create(
+            "cplds", n, backend="columnar-frontier",
+            params=LDSParams(n, levels_per_group=4),
+        )
+        points = []
+        if probe:
+            attach_probe(impl, InjectionProbe(points.append, at_end=True))
+        # A 16-clique climbs in lock-step rounds far above the scalar
+        # cut-off, then the mixed batches tear parts of it down.
+        clique16 = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+        batches = [(clique16, [])] + mixed_schedule(5, n, 12)
+        batches.append(([], clique16[::2]))
+        observed = []
+        for ins, dels in batches:
+            for edges, apply in ((ins, impl.insert_batch), (dels, impl.delete_batch)):
+                apply(edges)
+                observed.append((
+                    impl.plds.last_batch_moves,
+                    impl.last_batch_marked,
+                    impl.last_batch_dags,
+                    canonical_dag_partition(impl.last_batch_dag_map),
+                ))
+        impl.check_invariants()
+        return _hook_mode(impl.plds.hooks), observed, impl.levels(), points
+
+    def test_probe_chain_marks_in_bulk_with_identical_results(self):
+        mode, observed, levels, points = self._run(probe=True)
+        plain_mode, plain_observed, plain_levels, _ = self._run(probe=False)
+        assert mode == plain_mode == "bulk"
+        assert points  # the probe did observe the batches
+        assert observed == plain_observed
+        assert levels == plain_levels
+        assert max(moves for moves, *_ in observed) > 16  # bulk rounds ran
+
+    def test_chain_watching_moves_stays_scalar(self):
+        from repro.core.frontier import _hook_mode
+
+        impl = engines.create("cplds", 8, backend="columnar-frontier")
+        impl.plds.hooks = HookChain(impl.plds.hooks, ChaosHooks())
+        assert _hook_mode(impl.plds.hooks) == "scalar"
+        probed = engines.create("cplds", 8, backend="columnar-frontier")
+        attach_probe(probed, InjectionProbe(lambda _tag: None))
+        probed.plds.hooks = HookChain(probed.plds.hooks, ChaosHooks())
+        assert _hook_mode(probed.plds.hooks) == "scalar"
+
+
+class TestInvalidEdgesRejectedWhole:
+    """A batch with a bad edge raises a typed error before anything moves:
+    no half-applied edges, levels or counters (the filter validates)."""
+
+    @staticmethod
+    def _state(impl):
+        graph = impl.graph
+        counters = impl.plds.state.snapshot()
+        return (
+            sorted(graph.edges()),
+            graph.num_edges,
+            list(impl.levels()),
+            [np.asarray(part).tolist() for part in counters],
+        )
+
+    @pytest.mark.parametrize(
+        "engine,backend",
+        [("cplds", "object"), ("cplds", "columnar-frontier"), ("nonsync", "object")],
+    )
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ([(0, 1), (2, 9)], VertexOutOfRange),  # larger endpoint out of range
+            ([(7, 9)], VertexOutOfRange),  # smaller endpoint out of range
+            ([(0, 1), (-1, 2)], VertexOutOfRange),  # negative vertex
+            ([(0, 1), (3, 3)], SelfLoopError),
+        ],
+    )
+    def test_bad_edge_changes_nothing(self, engine, backend, bad, error):
+        impl = engines.create(engine, 5, backend=backend)
+        impl.insert_batch([(1, 2), (2, 3), (1, 3), (3, 4)])
+        before = self._state(impl)
+        attempts = (
+            lambda: impl.insert_batch(bad),
+            lambda: impl.delete_batch(bad),
+            # Both sub-batches are validated before either phase runs.
+            lambda: impl.apply_batch(insertions=[(0, 4)], deletions=bad),
+            lambda: impl.apply_batch(insertions=bad, deletions=[(1, 2)]),
+        )
+        for attempt in attempts:
+            with pytest.raises(error):
+                attempt()
+            assert self._state(impl) == before
+        impl.plds.check_invariants()
+
+    def test_edge_in_both_sub_batches_is_inserted_then_deleted(self):
+        for backend in BACKENDS:
+            impl = engines.create("cplds", 5, backend=backend)
+            impl.insert_batch([(1, 2)])
+            assert impl.apply_batch(
+                insertions=[(0, 1), (2, 1)], deletions=[(1, 0), (1, 2)]
+            ) == (1, 2)
+            assert impl.graph.num_edges == 0
+            impl.check_invariants()
 
 
 def test_round_drivers_release_the_gil_only_beside_other_threads():

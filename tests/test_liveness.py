@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import engines
 from repro.core import CPLDS
 from repro.errors import ReproError
 from repro.runtime.stepping import InterleavedScheduler, SteppedResult
@@ -12,11 +13,15 @@ from repro.graph import generators as gen
 
 
 def stepped_population(seed=0, n=12):
+    """Stepped reads of a clique build and teardown, on every backend."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    stream = BatchStream.insert_then_delete("live", n, edges, 12)
-    cp = CPLDS(n)
-    sched = InterleavedScheduler(cp, num_readers=6, seed=seed)
-    return sched.run(stream)
+    results = []
+    for backend in engines.backends():
+        stream = BatchStream.insert_then_delete("live", n, edges, 12)
+        cp = engines.create("cplds", n, backend=backend)
+        sched = InterleavedScheduler(cp, num_readers=6, seed=seed)
+        results += sched.run(stream)
+    return results
 
 
 class TestAnalyzeStepped:

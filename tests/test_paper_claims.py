@@ -8,6 +8,7 @@ ledger a reviewer can run in seconds.
 
 import pytest
 
+from repro import engines
 from repro.core import CPLDS, NonSyncKCore
 from repro.exact import core_decomposition
 from repro.graph import generators as gen
@@ -166,13 +167,15 @@ class TestSection6Claims:
         """(§6.2) reads retry only when an update progressed (batch number
         advanced or live level changed)."""
         n = 12
-        stream = BatchStream.insert_then_delete(
-            "claims", n, clique_edges(n), 12
-        )
-        sched = InterleavedScheduler(CPLDS(n), num_readers=6, seed=1)
-        for r in sched.run(stream):
-            assert len(r.retry_causes) == r.retries
-            assert set(r.retry_causes) <= {"batch", "level"}
+        for backend in engines.backends():
+            stream = BatchStream.insert_then_delete(
+                "claims", n, clique_edges(n), 12
+            )
+            impl = engines.create("cplds", n, backend=backend)
+            sched = InterleavedScheduler(impl, num_readers=6, seed=1)
+            for r in sched.run(stream):
+                assert len(r.retry_causes) == r.retries
+                assert set(r.retry_causes) <= {"batch", "level"}
 
     def test_6_3_unsynchronized_error_grows_with_jump(self):
         """(§6.3) "the error could be unbounded": NonSync's worst error
