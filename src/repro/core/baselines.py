@@ -17,13 +17,31 @@ examples can swap implementations freely.
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.cplds import ReadResult
 from repro.lds.params import LDSParams
-from repro.lds.plds import PLDS
+from repro.lds.plds import PLDS, Phase, UpdateHooks
 from repro.runtime.executor import Executor
 from repro.types import Edge, Vertex
+
+
+class _BatchCounter(UpdateHooks):
+    """Counts phases into ``owner.batch_number``, as the CPLDS does.
+
+    ``batch_begin`` fires once per phase after the edge filter has
+    validated the batch, so a batch rejected for a bad edge leaves the
+    number unchanged.  ``before_move`` stays the no-op, so the frontier
+    round driver does no per-mover work for it.
+    """
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner) -> None:
+        self.owner = owner
+
+    def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
+        self.owner.batch_number += 1
 
 
 class NonSyncKCore:
@@ -41,24 +59,25 @@ class NonSyncKCore:
         backend: str = "object",
     ) -> None:
         self.plds = PLDS(
-            num_vertices, params=params, executor=executor, backend=backend
+            num_vertices,
+            params=params,
+            executor=executor,
+            hooks=_BatchCounter(self),
+            backend=backend,
         )
         self.params = self.plds.params
         self.batch_number = 0
 
     # -- updates -------------------------------------------------------
     def insert_batch(self, edges: Iterable[Edge]) -> int:
-        self.batch_number += 1
         return self.plds.batch_insert(edges)
 
     def delete_batch(self, edges: Iterable[Edge]) -> int:
-        self.batch_number += 1
         return self.plds.batch_delete(edges)
 
     def apply_batch(
         self, insertions: Iterable[Edge] = (), deletions: Iterable[Edge] = ()
     ) -> tuple[int, int]:
-        self.batch_number += 1
         return self.plds.apply_batch(insertions, deletions)
 
     # -- reads ----------------------------------------------------------
@@ -130,7 +149,11 @@ class SyncReadsKCore:
         backend: str = "object",
     ) -> None:
         self.plds = PLDS(
-            num_vertices, params=params, executor=executor, backend=backend
+            num_vertices,
+            params=params,
+            executor=executor,
+            hooks=_BatchCounter(self),
+            backend=backend,
         )
         self.params = self.plds.params
         self.batch_number = 0
@@ -142,7 +165,6 @@ class SyncReadsKCore:
     def _run_batch(self, fn, *args):
         with self._cond:
             self._in_batch = True
-            self.batch_number += 1
         try:
             return fn(*args)
         finally:

@@ -268,7 +268,6 @@ class CPLDS:
         #: algorithm itself — publishing adds no rounds, moves, or marks.
         self.epoch_store = None
         self._batch_partners: dict[Vertex, list[Vertex]] = {}
-        self._wounded = False
         #: Telemetry from the most recent batch.
         self.last_batch_marked = 0
         self.last_batch_dags = 0
@@ -282,11 +281,7 @@ class CPLDS:
     def insert_batch(self, edges: Iterable[Edge]) -> int:
         """Apply an insertion batch; returns the number of new edges."""
         with _OBS.span("cplds.insert_batch") as sp:
-            try:
-                applied = self.plds.batch_insert(edges)
-            except BaseException:
-                self._wounded = True
-                raise
+            applied = self.plds.batch_insert(edges)
             sp.set(
                 edges=applied,
                 moves=self.plds.last_batch_moves,
@@ -299,11 +294,7 @@ class CPLDS:
     def delete_batch(self, edges: Iterable[Edge]) -> int:
         """Apply a deletion batch; returns the number of removed edges."""
         with _OBS.span("cplds.delete_batch") as sp:
-            try:
-                applied = self.plds.batch_delete(edges)
-            except BaseException:
-                self._wounded = True
-                raise
+            applied = self.plds.batch_delete(edges)
             sp.set(
                 edges=applied,
                 moves=self.plds.last_batch_moves,
@@ -318,11 +309,7 @@ class CPLDS:
     ) -> tuple[int, int]:
         """Mixed batch, pre-processed into insertion + deletion sub-batches."""
         with _OBS.span("cplds.apply_batch") as sp:
-            try:
-                counts = self.plds.apply_batch(insertions, deletions)
-            except BaseException:
-                self._wounded = True
-                raise
+            counts = self.plds.apply_batch(insertions, deletions)
             sp.set(
                 insertions=counts[0],
                 deletions=counts[1],
@@ -510,23 +497,14 @@ class CPLDS:
         """The level-store backend this structure runs on."""
         return self.plds.state.backend
 
-    @property
-    def wounded(self) -> bool:
-        """True if a batch ever raised mid-flight on this structure.
-
-        A wounded structure's levels/counters/descriptors may be mutually
-        inconsistent; the recovery entry points (:meth:`rebuild`, or the
-        supervisor's checkpoint+journal restore) clear the flag.
-        """
-        return self._wounded
-
     def fresh_like(self) -> "CPLDS":
         """A new, empty CPLDS over the same vertex universe and parameters.
 
         Recovery entry point: checkpoint+journal replay starts from a fresh
-        structure (never the wounded one) and replays history batch by
-        batch, which — the PLDS being deterministic under the sequential
-        executor — reproduces the exact level history of the original.
+        structure (never the one a failed batch left behind) and replays
+        history batch by batch, which — the PLDS being deterministic under
+        the sequential executor — reproduces the exact level history of the
+        original.
         """
         return type(self)(
             self.graph.num_vertices,
@@ -559,7 +537,6 @@ class CPLDS:
         graph.clear()
         self.plds.state.reset()
         self.insert_batch(edges)
-        self._wounded = False
 
     # ------------------------------------------------------------------
     # State management (quiescent use)
@@ -575,9 +552,9 @@ class CPLDS:
     def restore_state(self, snap: dict) -> None:
         """Restore a :meth:`snapshot_state` capture in place.
 
-        Also discards any derived per-batch state (descriptors, partner
-        map, the wounded flag), so it doubles as the exact-state recovery
-        path after a batch died mid-flight.
+        Also discards any derived per-batch state (descriptors and the
+        partner map), so it doubles as the exact-state recovery path after
+        a batch died mid-flight.
         """
         n = self.graph.num_vertices
         self.descriptors.slots[:] = [None] * n
@@ -585,7 +562,6 @@ class CPLDS:
         self._batch_partners = {}
         self.plds.restore_state(snap["plds"])
         self.batch_number = snap["batch_number"]
-        self._wounded = False
 
     def check_invariants(self) -> None:
         """Assert LDS invariants and a fully unmarked descriptor table."""

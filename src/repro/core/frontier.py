@@ -29,8 +29,9 @@ Hook dispatch
 -------------
 The round drivers adapt to whatever hooks are installed:
 
-* a bare :class:`~repro.lds.plds.UpdateHooks` (the NonSync/SyncReads
-  baselines, the plain PLDS engine) — no marking work at all;
+* hooks that leave :meth:`~repro.lds.plds.UpdateHooks.before_move` as
+  the no-op (the plain PLDS engine, the NonSync/SyncReads baselines'
+  batch counter) — no per-mover work at all;
 * :class:`FrontierMarkingHooks` (``supports_bulk_moves``) — whole-frontier
   marking from the gathered rows, zero per-vertex Python; so does a
   :class:`~repro.runtime.inject.HookChain` that puts it first and chains
@@ -94,10 +95,10 @@ def _next_yield() -> float:
 
 def _hook_mode(hooks: UpdateHooks) -> str:
     """``noop`` / ``bulk`` / ``scalar`` — see the module docstring."""
-    if type(hooks) is UpdateHooks:
-        return "noop"
     if getattr(hooks, "supports_bulk_moves", False):
         return "bulk"
+    if type(hooks).before_move is UpdateHooks.before_move:
+        return "noop"
     return "scalar"
 
 

@@ -58,6 +58,9 @@ class LDSParams:
     num_levels: int = field(init=False)
     #: ``estimate_table[ℓ]`` is the coreness estimate for level ℓ.
     estimate_table: tuple = field(init=False, repr=False, compare=False)
+    #: The same estimates as one read-only float64 array, built once per
+    #: parameter pack and shared by every epoch snapshot's bulk reads.
+    estimate_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_vertices < 0:
@@ -88,6 +91,9 @@ class LDSParams:
             for lvl in range(num_groups * height)
         )
         object.__setattr__(self, "estimate_table", table)
+        estimates = np.array(table, dtype=np.float64)
+        estimates.setflags(write=False)
+        object.__setattr__(self, "estimate_array", estimates)
 
     # ------------------------------------------------------------------
     # Group arithmetic

@@ -126,8 +126,9 @@ def save_cplds(
 
     Raises :class:`~repro.errors.BatchInProgressError` if any descriptor is
     still marked (a batch is executing).  With ``verify`` (the default) the
-    LDS invariants are checked first, so a structure wounded by a mid-batch
-    failure (see :meth:`CPLDS.rebuild`) cannot be checkpointed silently.
+    LDS invariants are checked first, so a structure that a batch left
+    inconsistent by dying mid-flight (see :meth:`CPLDS.rebuild`) cannot be
+    checkpointed silently.
     """
     if cplds.descriptors.marked_vertices or any(
         s is not None for s in cplds.descriptors.slots

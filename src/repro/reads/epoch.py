@@ -16,7 +16,15 @@ Three classes:
   with vectorized bulk query methods.  The level array is marked
   read-only; everything derived from it is a pure function, so a snapshot
   can be shared across threads (and cached downstream keyed by its epoch
-  number) without synchronization.
+  number) without synchronization.  The per-level estimate array is
+  ``params.estimate_array``, built once per :class:`LDSParams` and shared
+  by every snapshot of those params, so a publish costs one level copy.
+  Query costs for ``q`` requested vertices: ``level`` / ``estimate``
+  O(1); ``levels_many`` / ``coreness_many`` / ``subgraph_coreness`` O(q)
+  (O(n) for ``coreness_many()`` of every vertex); ``level_histogram``
+  O(n + levels); ``top_k`` O(n + levels + k log k), a selection rather
+  than a sort, ordered by descending estimate with ties by ascending
+  vertex id.
 * :class:`EpochPin` — a reader's lease on one epoch.  All reads through a
   pin are **linearizable at that epoch**: they reflect exactly the state
   after the pinned batch, for as long as the pin holds.  The store's
@@ -76,9 +84,9 @@ class EpochSnapshot:
         self.epoch = int(epoch)
         self.levels = arr
         self.params = params
-        # Per-level coreness estimates as an array: bulk reads become one
-        # fancy-indexing gather instead of n tuple lookups.
-        self._estimates = np.asarray(params.estimate_table, dtype=np.float64)
+        # Per-level coreness estimates as an array, shared by every snapshot
+        # of these params: bulk reads become one fancy-indexing gather.
+        self._estimates = params.estimate_array
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EpochSnapshot(epoch={self.epoch}, n={self.num_vertices})"
@@ -116,13 +124,27 @@ class EpochSnapshot:
         """The ``k`` highest-coreness vertices as ``(vertex, estimate)``.
 
         Deterministic: descending estimate, ties broken by ascending
-        vertex id (stable argsort over the negated estimates).
+        vertex id.  A selection, not a sort: estimates take one value per
+        level group, so they tie heavily, and only the fewer than ``k``
+        vertices strictly above the k-th largest estimate ``thr`` are
+        sorted; the rest are the lowest-id vertices at ``thr``.
         """
+        k = min(k, self.levels.size)
         if k <= 0:
             return []
         est = self._estimates[self.levels]
-        order = np.argsort(-est, kind="stable")[:k]
-        return [(int(v), float(est[v])) for v in order]
+        # Estimates never fall as the level rises, so ``thr`` is the
+        # estimate of the k-th largest level, read off the level histogram.
+        # (``np.partition`` over the estimates is ten times slower when a
+        # minority of vertices holds the top one of two distinct values.)
+        at_or_above = np.cumsum(np.bincount(self.levels)[::-1])
+        top = at_or_above.size - 1 - int(np.searchsorted(at_or_above, k))
+        thr = self._estimates[top]
+        above = np.flatnonzero(est > thr)
+        above = above[np.argsort(-est[above], kind="stable")]
+        ties = np.flatnonzero(est == thr)[: k - above.size]
+        order = np.concatenate((above, ties))
+        return list(zip(order.tolist(), est[order].tolist()))
 
     def level_histogram(self) -> np.ndarray:
         """Vertex count per level (length ``params.num_levels``, int64)."""

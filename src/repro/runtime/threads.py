@@ -95,6 +95,9 @@ class _Reader(threading.Thread):
         self.max_samples = max_samples
         self.samples: list[ReadSample] = []
         self.total_reads = 0
+        #: Reads begun with the in-flight flag raised (see
+        #: :func:`run_concurrent_session`, which waits on it).
+        self.in_flight_taken = 0
         self.error: BaseException | None = None
         self._reservoir_rng = random.Random(sample_seed)
 
@@ -107,6 +110,8 @@ class _Reader(threading.Thread):
             while not self.stop_event.is_set():
                 v = gen.next()
                 in_flight = self.in_flight_flag[0]
+                if in_flight:
+                    self.in_flight_taken += 1
                 t0 = perf()
                 result = impl.read_verbose(v)
                 t1 = perf()
@@ -163,6 +168,7 @@ class _QueueingReader(threading.Thread):
         self.max_samples = max_samples
         self.samples: list[ReadSample] = []
         self.total_reads = 0
+        self.in_flight_taken = 0
         self.error: BaseException | None = None
         self.queue_len = 0
         self._reservoir_rng = random.Random(sample_seed)
@@ -187,6 +193,7 @@ class _QueueingReader(threading.Thread):
                     if len(queue) < self.MAX_QUEUE:
                         queue.append((gen.next(), perf()))
                         self.queue_len = len(queue)
+                        self.in_flight_taken += 1
                     else:
                         time.sleep(1e-4)  # paced out; queue is full
                     continue
@@ -239,9 +246,13 @@ def run_concurrent_session(
     ``inter_batch_gap`` pauses the update thread between batches so reader
     threads get scheduled around batch boundaries, mirroring the paper's
     per-batch experiment structure; gap-time reads are recorded but not
-    counted as in-flight.  For implementations exposing ``drain()``
-    (SyncReads), the drain of reads queued during the batch is counted into
-    the batch's measured duration, as the paper's accounting prescribes.
+    counted as in-flight.  After raising the in-flight flag, the update
+    thread waits (at most 1 s) until every reader has begun an in-flight
+    read, then starts the batch and its clock, so every batch contributes
+    in-flight samples however briefly it runs.  For implementations
+    exposing ``drain()`` (SyncReads), the drain of reads queued during the
+    batch is counted into the batch's measured duration, as the paper's
+    accounting prescribes.
 
     Reader exceptions are re-raised after the session (a reader crash is a
     test failure, not a statistic).
@@ -276,7 +287,15 @@ def run_concurrent_session(
             r.start()
         perf = time.perf_counter
         for batch in batches:
+            taken = [r.in_flight_taken for r in readers]
             in_flight_flag[0] = True
+            # The bound keeps a stalled reader from holding the session.
+            deadline = perf() + 1.0
+            while perf() < deadline and any(
+                r.in_flight_taken == t and r.error is None and r.is_alive()
+                for r, t in zip(readers, taken)
+            ):
+                time.sleep(1e-4)
             t0 = perf()
             if batch.kind == "insert":
                 impl.insert_batch(batch.edges)

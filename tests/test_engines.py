@@ -408,10 +408,20 @@ class TestChainedObserversKeepBulkMarking:
         probed.plds.hooks = HookChain(probed.plds.hooks, ChaosHooks())
         assert _hook_mode(probed.plds.hooks) == "scalar"
 
+    @pytest.mark.parametrize("engine", ["nonsync", "syncreads"])
+    def test_baseline_batch_counter_does_no_per_mover_work(self, engine):
+        from repro.core.frontier import _hook_mode
+
+        impl = engines.create(engine, 8, backend="columnar-frontier")
+        assert _hook_mode(impl.plds.hooks) == "noop"
+        impl.apply_batch(insertions=[(0, 1), (1, 2)], deletions=[(0, 1)])
+        assert impl.batch_number == 2  # one per phase, as on the CPLDS
+
 
 class TestInvalidEdgesRejectedWhole:
     """A batch with a bad edge raises a typed error before anything moves:
-    no half-applied edges, levels or counters (the filter validates)."""
+    no half-applied edges, levels, counters or batch number (the filter
+    validates), and the structure still checks out intact."""
 
     @staticmethod
     def _state(impl):
@@ -426,7 +436,12 @@ class TestInvalidEdgesRejectedWhole:
 
     @pytest.mark.parametrize(
         "engine,backend",
-        [("cplds", "object"), ("cplds", "columnar-frontier"), ("nonsync", "object")],
+        [
+            ("cplds", "object"),
+            ("cplds", "columnar-frontier"),
+            ("nonsync", "object"),
+            ("syncreads", "object"),
+        ],
     )
     @pytest.mark.parametrize(
         "bad,error",
@@ -441,6 +456,7 @@ class TestInvalidEdgesRejectedWhole:
         impl = engines.create(engine, 5, backend=backend)
         impl.insert_batch([(1, 2), (2, 3), (1, 3), (3, 4)])
         before = self._state(impl)
+        batch_number = impl.batch_number
         attempts = (
             lambda: impl.insert_batch(bad),
             lambda: impl.delete_batch(bad),
@@ -452,7 +468,8 @@ class TestInvalidEdgesRejectedWhole:
             with pytest.raises(error):
                 attempt()
             assert self._state(impl) == before
-        impl.plds.check_invariants()
+            assert impl.batch_number == batch_number
+            impl.check_invariants()
 
     def test_edge_in_both_sub_batches_is_inserted_then_deleted(self):
         for backend in BACKENDS:

@@ -10,13 +10,16 @@ schedules in ``tests/test_chaos.py``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import engines
 from repro.core import CPLDS
 from repro.errors import EpochUnavailableError
+from repro.lds.params import LDSParams
 from repro.lds.store import BACKENDS
 from repro.obs import REGISTRY
-from repro.reads import EpochSnapshotStore, attach_epoch_store
+from repro.reads import EpochSnapshot, EpochSnapshotStore, attach_epoch_store
 from repro.runtime.coordinator import BatchCoordinator
 from repro.runtime.inject import HookChain
 from repro.runtime.supervisor import HealthState, SupervisedCPLDS
@@ -66,6 +69,49 @@ class TestSnapshotQueries:
             if e1 == e2:
                 assert v1 < v2
         assert snap.top_k(0) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_top_k_equals_stable_argsort(self, data):
+        # Shallow groups and a few distinct levels make estimates tie
+        # heavily, the case the selection must order exactly like a sort.
+        n = data.draw(st.integers(1, 60), label="n")
+        params = LDSParams(n, levels_per_group=data.draw(st.integers(1, 4)))
+        distinct = data.draw(
+            st.lists(st.integers(0, params.max_level), min_size=1, max_size=4),
+            label="levels",
+        )
+        levels = data.draw(
+            st.lists(st.sampled_from(distinct), min_size=n, max_size=n)
+        )
+        k = data.draw(
+            st.sampled_from([0, 1, n - 1, n, n + 3]) | st.integers(-2, n + 3),
+            label="k",
+        )
+        snap = EpochSnapshot(1, levels, params)
+        est = np.asarray(params.estimate_table)[np.asarray(levels, dtype=np.int64)]
+        reference = [
+            (int(v), float(est[v]))
+            for v in np.argsort(-est, kind="stable")[: max(k, 0)]
+        ]
+        top = snap.top_k(k)
+        assert top == reference
+        assert all(type(v) is int and type(e) is float for v, e in top)
+
+    def test_snapshots_share_one_read_only_estimate_array(self):
+        eng, store = engine_with_store("columnar-frontier")
+        eng.insert_batch(EDGES)
+        first = store.newest()
+        eng.delete_batch(EDGES[:2])
+        second = store.newest()
+        assert first.epoch != second.epoch
+        assert first._estimates is second._estimates is eng.params.estimate_array
+        assert not eng.params.estimate_array.flags.writeable
+        with pytest.raises(ValueError):
+            eng.params.estimate_array[0] = 99.0
+        assert eng.params.estimate_array.tolist() == list(
+            eng.params.estimate_table
+        )
 
     def test_level_histogram_counts_every_vertex(self):
         eng, store = engine_with_store("columnar-frontier")

@@ -46,6 +46,16 @@ class TestConcurrentSession:
         res = run_concurrent_session(CPLDS(150), stream, num_readers=2)
         assert res.read_latencies(in_flight_only=True)
 
+    @pytest.mark.parametrize("factory", [CPLDS, SyncReadsKCore])
+    def test_every_reader_samples_every_batch_in_flight(self, factory):
+        """One-edge batches finish far inside a thread switch interval; the
+        session still waits for each reader to begin an in-flight read
+        before starting a batch, so no batch goes unsampled."""
+        edges = gen.erdos_renyi(40, 60, seed=3)
+        stream = BatchStream.insert_only("tiny", 40, edges, 1)
+        res = run_concurrent_session(factory(40), stream, num_readers=2)
+        assert len(res.read_latencies()) >= 2 * len(stream)
+
     def test_all_latencies_positive(self):
         res = run_concurrent_session(CPLDS(60), small_stream(), num_readers=1)
         assert all(s.latency > 0 for s in res.reads)
