@@ -85,7 +85,7 @@ EVENT_FIELDS: dict = {
     EventType.HEALTH: ("from_state", "to_state"),  # HealthState ordinals
     EventType.CHAOS_FAULT: ("fault", "arg1", "arg2"),  # fault: FAULT_KINDS
     EventType.RECOVERY: ("ok", "replayed", "checkpoint_seq"),
-    EventType.CHECKPOINT: ("seq",),
+    EventType.CHECKPOINT: ("seq", "bytes"),
     EventType.STALE_READ: ("vertex", "age_epochs", "snapshot_batch"),
     EventType.NOTE: ("a", "b", "c", "d"),
 }

@@ -9,8 +9,13 @@ service layer's durability story:
   to a compressed numpy archive guarded by a format version and a CRC-32
   checksum, and rebuild an equivalent structure, recomputing the degree
   counters from the restored levels (they are a pure function of graph +
-  levels, see the stores' ``load_levels``).  Corrupted or
-  truncated archives raise a typed
+  levels, see the stores' ``load_levels``).  Format 4 stores the edges as
+  sorted per-vertex rows of gaps (a forward-degree count per vertex, then
+  each row's gaps) and the levels in the narrowest unsigned word that
+  holds ``num_levels - 1``; the checksum covers the decoded ``int64``
+  edges and levels plus the scalars, so it does not depend on the stored
+  widths.  Formats 2 and 3 (``int64`` edge pairs) still load.  Corrupted,
+  truncated or malformed archives raise a typed
   :class:`~repro.errors.CheckpointCorruptError` instead of raw numpy/zip
   errors, so recovery code can fall back to an older checkpoint.
 
@@ -52,9 +57,12 @@ from repro.types import Edge
 
 #: Format version embedded in every checkpoint.  Version 2 added the CRC-32
 #: ``checksum`` field (version-1 archives are no longer loadable); version 3
-#: added the level-store ``backend`` field.  Version-2 archives still load
-#: (they predate the backend seam and restore onto the object backend).
-FORMAT_VERSION = 3
+#: added the level-store ``backend`` field; version 4 stores the edges as
+#: sorted per-row gaps and both large arrays in narrow unsigned words (see
+#: :func:`_encode_edges`).  Version-2 and version-3 archives still load
+#: (version 2 predates the backend seam and restores onto the object
+#: backend).
+FORMAT_VERSION = 4
 
 #: Oldest checkpoint format :func:`load_cplds` still understands.
 MIN_FORMAT_VERSION = 2
@@ -105,8 +113,11 @@ def _checkpoint_checksum(
 ) -> int:
     """CRC-32 over every field that determines the restored structure.
 
-    ``backend=None`` reproduces the version-2 checksum (no backend field);
-    version-3 archives fold the backend name into the scalar tuple.
+    ``edges`` and ``levels`` are the decoded ``int64`` arrays (version 4:
+    edges in their stored, sorted order), so the checksum does not depend
+    on the narrow words an archive stores them in.  ``backend=None``
+    reproduces the version-2 checksum (no backend field); later versions
+    fold the backend name into the scalar tuple.
     """
     crc = zlib.crc32(edges.tobytes())
     crc = zlib.crc32(levels.tobytes(), crc)
@@ -119,6 +130,69 @@ def _checkpoint_checksum(
     return zlib.crc32(scalars.encode("utf-8"), crc)
 
 
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative ``values`` in the narrowest unsigned dtype holding them."""
+    top = int(values.max()) if values.size else 0
+    return values.astype(np.min_scalar_type(top))
+
+
+def _encode_edges(
+    edges: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The version-4 edge layout of ``u < v`` rows ``edges``.
+
+    Returns the rows sorted by ``(u, v)`` as ``int64`` (what the checksum
+    covers), each vertex's forward degree (its count of rows), and each
+    row's gap: ``v - u`` for the first row of a vertex, else ``v`` minus
+    the previous row's ``v``.  Both stored arrays come back in the
+    narrowest unsigned dtype that holds their largest value.
+    """
+    u, v = np.divmod(np.sort(edges[:, 0] * n + edges[:, 1]), n)
+    degrees = np.bincount(u, minlength=n)
+    gaps = np.diff(v, prepend=0)
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = u[1:] != u[:-1]
+    gaps[first] = v[first] - u[first]
+    return np.stack([u, v], axis=1), _narrow(degrees), _narrow(gaps)
+
+
+def _decode_edges(
+    degrees: np.ndarray, gaps: np.ndarray, n: int, source: str
+) -> np.ndarray:
+    """Invert :func:`_encode_edges`: the sorted ``int64`` ``(m, 2)`` rows.
+
+    One ``repeat`` gives each row its ``u``; one cumulative sum over all
+    gaps, less its running total at each vertex's first row, gives ``v``.
+    A layout no encoder writes raises
+    :class:`~repro.errors.CheckpointCorruptError`.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    gaps = np.asarray(gaps, dtype=np.int64)
+    if degrees.shape != (n,) or gaps.ndim != 1:
+        raise CheckpointCorruptError(
+            f"{source} stores {degrees.shape} forward degrees and "
+            f"{gaps.shape} gaps for {n} vertices"
+        )
+    if (degrees < 0).any() or int(degrees.sum()) != gaps.size:
+        raise CheckpointCorruptError(
+            f"{source} has forward degrees that do not sum to its "
+            f"{gaps.size} gaps"
+        )
+    if gaps.size and gaps.min() < 1:
+        raise CheckpointCorruptError(f"{source} stores a zero gap")
+    # A gap of n or more already puts its endpoint out of range, and
+    # rejecting it first keeps the cumulative sum clear of overflow.
+    if gaps.size and gaps.max() >= n:
+        raise CheckpointCorruptError(f"{source} has an endpoint >= {n}")
+    u = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    total = np.cumsum(gaps)
+    row_base = np.concatenate(([0], total))[np.cumsum(degrees) - degrees]
+    v = u + total - row_base[u]
+    if v.size and v.max() >= n:
+        raise CheckpointCorruptError(f"{source} has an endpoint >= {n}")
+    return np.stack([u, v], axis=1)
+
+
 def save_cplds(
     cplds: CPLDS, path: str | os.PathLike[str], *, verify: bool = True
 ) -> None:
@@ -128,7 +202,9 @@ def save_cplds(
     still marked (a batch is executing).  With ``verify`` (the default) the
     LDS invariants are checked first, so a structure that a batch left
     inconsistent by dying mid-flight (see :meth:`CPLDS.rebuild`) cannot be
-    checkpointed silently.
+    checkpointed silently.  Writes format :data:`FORMAT_VERSION`: edges as
+    ``forward_degrees`` + ``gaps`` (:func:`_encode_edges`), levels in the
+    narrowest unsigned word holding ``params.num_levels - 1``.
     """
     if cplds.descriptors.marked_vertices or any(
         s is not None for s in cplds.descriptors.slots
@@ -139,12 +215,13 @@ def save_cplds(
     if verify:
         cplds.check_invariants()
     graph = cplds.graph
-    edges = graph.edge_array()
+    n = graph.num_vertices
+    edges, degrees, gaps = _encode_edges(graph.edge_array(), n)
     levels = np.asarray(cplds.plds.state.levels_snapshot(), dtype=np.int64)
     params = cplds.params
     backend = cplds.backend
     checksum = _checkpoint_checksum(
-        graph.num_vertices,
+        n,
         edges,
         levels,
         cplds.batch_number,
@@ -156,9 +233,10 @@ def save_cplds(
     np.savez_compressed(
         path,
         format_version=np.int64(FORMAT_VERSION),
-        num_vertices=np.int64(graph.num_vertices),
-        edges=edges,
-        levels=levels,
+        num_vertices=np.int64(n),
+        forward_degrees=degrees,
+        gaps=gaps,
+        levels=levels.astype(np.min_scalar_type(params.num_levels - 1)),
         batch_number=np.int64(cplds.batch_number),
         delta=np.float64(params.delta),
         lam=np.float64(params.lam),
@@ -176,8 +254,10 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
     checksum-mismatched archive raises
     :class:`~repro.errors.CheckpointCorruptError`; an archive written by an
     incompatible library version raises the same (the version field is
-    validated before anything else is trusted).
+    validated before anything else is trusted).  Versions
+    :data:`MIN_FORMAT_VERSION` to :data:`FORMAT_VERSION` load.
     """
+    source = f"checkpoint {os.fspath(path)!r}"
     try:
         # Own the handle: np.load's error paths (e.g. a truncated archive
         # that fails zip parsing) would otherwise leave it to the GC.
@@ -189,7 +269,12 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
                     f"(supported: {MIN_FORMAT_VERSION}..{FORMAT_VERSION})"
                 )
             n = int(data["num_vertices"])
-            edges_arr = np.asarray(data["edges"], dtype=np.int64).reshape(-1, 2)
+            if version >= 4:
+                edges_arr = _decode_edges(
+                    data["forward_degrees"], data["gaps"], n, source
+                )
+            else:
+                edges_arr = np.asarray(data["edges"], dtype=np.int64).reshape(-1, 2)
             levels_arr = np.asarray(data["levels"], dtype=np.int64)
             batch_number = int(data["batch_number"])
             delta = float(data["delta"])
@@ -202,25 +287,20 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
     except ReproError:
         raise
     except Exception as exc:  # zipfile.BadZipFile, OSError, KeyError, ...
-        raise CheckpointCorruptError(
-            f"checkpoint {os.fspath(path)!r} is unreadable: {exc}"
-        ) from exc
+        raise CheckpointCorruptError(f"{source} is unreadable: {exc}") from exc
     expected = _checkpoint_checksum(
         n, edges_arr, levels_arr, batch_number, delta, lam, group_height, backend
     )
     if stored != expected:
         raise CheckpointCorruptError(
-            f"checkpoint {os.fspath(path)!r} failed its checksum "
+            f"{source} failed its checksum "
             f"(stored {stored:#010x}, computed {expected:#010x})"
         )
     if len(levels_arr) != n:
         raise CheckpointCorruptError(
-            f"checkpoint {os.fspath(path)!r} has {len(levels_arr)} levels "
-            f"for {n} vertices"
+            f"{source} has {len(levels_arr)} levels for {n} vertices"
         )
-    backend = restore_backend(
-        backend, CheckpointCorruptError, f"checkpoint {os.fspath(path)!r}"
-    )
+    backend = restore_backend(backend, CheckpointCorruptError, source)
     edges = list(map(tuple, edges_arr.tolist()))
     levels = levels_arr.astype(int).tolist()
     params = LDSParams(n, delta=delta, lam=lam, levels_per_group=group_height)
@@ -230,8 +310,7 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
         return _restore_state(n, params, edges, levels, batch_number, backend)
     except Exception as exc:
         raise CheckpointCorruptError(
-            f"checkpoint {os.fspath(path)!r} decodes to an inconsistent "
-            f"structure: {exc}"
+            f"{source} decodes to an inconsistent structure: {exc}"
         ) from exc
 
 

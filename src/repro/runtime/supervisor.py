@@ -119,6 +119,7 @@ _SERVICE_COUNTER_FIELDS = (
     "poison_updates",
     "checkpoints_written",
     "checkpoints_rejected",
+    "checkpoint_bytes",
     "journal_records",
     "stale_reads",
 )
@@ -154,6 +155,8 @@ class ServiceTelemetry:
     poison_updates: int = 0
     checkpoints_written: int = 0
     checkpoints_rejected: int = 0
+    #: Bytes of every checkpoint file written (the archive sizes, summed).
+    checkpoint_bytes: int = 0
     journal_records: int = 0
     stale_reads: int = 0
     #: Largest snapshot age (in batch epochs) any stale read was served at.
@@ -200,6 +203,7 @@ class ServiceTelemetry:
             "poison_updates": self.poison_updates,
             "checkpoints_written": self.checkpoints_written,
             "checkpoints_rejected": self.checkpoints_rejected,
+            "checkpoint_bytes": self.checkpoint_bytes,
             "journal_records": self.journal_records,
             "stale_reads": self.stale_reads,
             "stale_read_max_age": self.stale_read_max_age,
@@ -859,11 +863,13 @@ class SupervisedCPLDS:
             if os.path.exists(path):
                 os.unlink(path)
             return
+        size = os.path.getsize(path)
         self._journal.note_checkpoint(self._last_seq, name)
         self.telemetry.journal_records += 1
         self.telemetry.checkpoints_written += 1
+        self.telemetry.checkpoint_bytes += size
         if _REC.enabled:
-            _REC.record(_EV.CHECKPOINT, self._last_seq)
+            _REC.record(_EV.CHECKPOINT, self._last_seq, size)
         self._committed_since_checkpoint = 0
         for _seq, old in _list_checkpoints(self._journal_dir)[self.keep_checkpoints:]:
             os.unlink(old)

@@ -6,7 +6,10 @@ this monitor hooks into the PLDS rounds and samples *mid-batch* consistency
 descriptor table must satisfy its structural rules (non-root parents point
 at marked vertices, parent vertex ids differ from their children) whenever
 marks exist.  Catching a drift at the round it happens, instead of at batch
-end, turns bookkeeping bugs from archaeology into stack traces.
+end, turns bookkeeping bugs from archaeology into stack traces.  The
+``columnar-frontier`` engine marks in flat arrays instead of the
+descriptor table, so on it the monitor also checks its ``_marked`` flags
+and ``_uf.parent`` forest.
 
 Intended for tests and debugging (it adds O(n + m) work per sampled round);
 attach with :func:`attach_monitor`, which returns the monitor for later
@@ -15,7 +18,10 @@ interrogation.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.descriptor import I_AM_ROOT
+from repro.core.frontier import FrontierCPLDS
 from repro.errors import InvariantViolation
 from repro.lds.plds import Phase, UpdateHooks
 from repro.runtime.inject import HookChain
@@ -47,6 +53,8 @@ class InvariantMonitor(UpdateHooks):
         self.samples_taken += 1
         self._check_counters()
         self._check_descriptor_structure()
+        if isinstance(self.cplds, FrontierCPLDS):
+            self._check_frontier_forest()
 
     def _check_counters(self) -> None:
         state = self.cplds.plds.state
@@ -82,6 +90,43 @@ class InvariantMonitor(UpdateHooks):
                         f"descriptor chain from {v} does not terminate",
                         vertex=v,
                     )
+
+    def _check_frontier_forest(self) -> None:
+        """Parents in range, chains that reach a root, and every unmarked
+        vertex its own parent (unions only touch marked vertices, and each
+        phase end resets the forest to singletons)."""
+        marked = self.cplds._marked
+        parent = self.cplds._uf.parent
+        n = parent.shape[0]
+        bad = np.flatnonzero((parent < 0) | (parent >= n))
+        if bad.size:
+            v = int(bad[0])
+            raise InvariantViolation(
+                f"forest parent of {v} is out of range ({int(parent[v])})",
+                vertex=v,
+            )
+        foreign = np.flatnonzero(~marked & (parent != np.arange(n)))
+        if foreign.size:
+            v = int(foreign[0])
+            raise InvariantViolation(
+                f"unmarked vertex {v} has forest parent {int(parent[v])}",
+                vertex=v,
+            )
+        # Pointer doubling: in a forest of depth d, ``jump`` maps every
+        # vertex to its root after about log2(d) squarings and then stops
+        # changing; a vertex on a cycle never lands on a root.
+        jump = parent
+        for _ in range(n.bit_length() + 1):
+            nxt = jump[jump]
+            if np.array_equal(nxt, jump):
+                break
+            jump = nxt
+        stuck = np.flatnonzero(parent[jump] != jump)
+        if stuck.size:
+            v = int(stuck[0])
+            raise InvariantViolation(
+                f"forest chain from {v} does not terminate", vertex=v
+            )
 
 
 def attach_monitor(cplds, sample_every: int = 1) -> InvariantMonitor:

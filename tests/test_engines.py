@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro import engines
 from repro.core import CPLDS
 from repro.engines import CoreEngine
+from repro.graph.generators import grid_road
 from repro.lds.params import LDSParams
 from repro.lds.store import BACKENDS
 from repro.errors import (
@@ -592,6 +593,33 @@ class TestPersistBackends:
         restored = load_cplds(path)
         assert restored.backend == "object"
         assert list(restored.levels()) == list(reference.levels())
+
+    @pytest.mark.parametrize("stored_name", [None, "object", "columnar-frontier"])
+    def test_v2_v3_archives_load_like_v4(self, tmp_path, stored_name):
+        """Archives in the earlier edge layout (``int64`` pairs) still load,
+        to the same levels, batch counter and edges as a current save."""
+        impl = engines.create("cplds", 16, backend=stored_name or "object")
+        for ins, dels in mixed_schedule(9, 16, 8):
+            impl.insert_batch(ins)
+            impl.delete_batch(dels)
+        _write_checkpoint(tmp_path / "old.npz", impl, stored_name)
+        save_cplds(impl, tmp_path / "new.npz")
+        old, new = load_cplds(tmp_path / "old.npz"), load_cplds(tmp_path / "new.npz")
+        assert list(old.levels()) == list(new.levels()) == list(impl.levels())
+        assert old.batch_number == new.batch_number == impl.batch_number
+        assert sorted(old.graph.edges()) == sorted(new.graph.edges())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_v4_archive_is_a_quarter_of_v3(self, tmp_path, backend):
+        """Size pin: a preloaded 60 x 60 road grid checkpoints in at most a
+        quarter of the bytes of the same state in the version-3 layout."""
+        impl = engines.create("cplds", 3600, backend=backend)
+        impl.insert_batch(grid_road(60, 60, seed=1))
+        _write_checkpoint(tmp_path / "v3.npz", impl, backend)
+        save_cplds(impl, tmp_path / "v4.npz")
+        v3 = (tmp_path / "v3.npz").stat().st_size
+        v4 = (tmp_path / "v4.npz").stat().st_size
+        assert 4 * v4 <= v3, f"v4 {v4} B against v3 {v3} B"
 
 
 def _write_checkpoint(path, impl, stored_name, checksum_name=None):

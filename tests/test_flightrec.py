@@ -246,6 +246,42 @@ def test_supervisor_dumps_on_health_transition(tmp_path, recorder):
     service.close()
 
 
+def test_checkpoint_bytes_reach_telemetry_registry_and_events(tmp_path, recorder):
+    """Every checkpoint's archive size is counted in ``checkpoint_bytes``,
+    mirrored as ``service_checkpoint_bytes_total``, and carried by its
+    CHECKPOINT event."""
+    from repro import obs
+    from repro.runtime.supervisor import SupervisedCPLDS
+
+    was = obs.REGISTRY.enabled
+    obs.enable()
+    obs.reset()
+    try:
+        cp = CPLDS(16)
+        cp.insert_batch([(0, 1)])  # non-empty adoption: initial checkpoint
+        service = SupervisedCPLDS(
+            cp, journal_dir=tmp_path, checkpoint_every=1, keep_checkpoints=10
+        )
+        service.apply_batch(insertions=[(1, 2), (2, 3)])
+        service.apply_batch(insertions=[(0, 2)], deletions=[(0, 1)])
+        service.close()
+        total = obs.REGISTRY.counter_value("service_checkpoint_bytes_total")
+    finally:
+        obs.reset()
+        if not was:
+            obs.disable()
+    sizes = {
+        int(f.name[len("checkpoint-"):-len(".npz")]): f.stat().st_size
+        for f in tmp_path.glob("checkpoint-*.npz")
+    }
+    events = [e for e in recorder.events() if e.etype == EventType.CHECKPOINT]
+    assert len(sizes) == len(events) == service.telemetry.checkpoints_written == 3
+    assert {e.a: e.b for e in events} == sizes
+    assert service.telemetry.checkpoint_bytes == sum(sizes.values()) == total
+    assert service.telemetry.as_dict()["checkpoint_bytes"] == total
+    assert flightrec.EVENT_FIELDS[EventType.CHECKPOINT] == ("seq", "bytes")
+
+
 def test_dump_flight_record_disabled_returns_none(tmp_path):
     from repro.runtime.supervisor import SupervisedCPLDS
 

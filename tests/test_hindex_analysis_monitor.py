@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import engines
 from repro.core import CPLDS
 from repro.errors import InvariantViolation
 from repro.exact import core_decomposition
@@ -20,6 +21,8 @@ from repro.graph.analysis import (
     induced_subgraph,
     triangles_at,
 )
+from repro.lds.plds import UpdateHooks
+from repro.runtime.inject import HookChain
 from repro.verify.monitor import InvariantMonitor, attach_monitor
 
 
@@ -143,3 +146,68 @@ class TestInvariantMonitor:
     def test_invalid_stride(self):
         with pytest.raises(ValueError):
             InvariantMonitor(CPLDS(2), sample_every=0)
+
+
+def frontier(n):
+    return engines.create("cplds", n, backend="columnar-frontier")
+
+
+class TestFrontierForestMonitor:
+    """The monitor's forest check on the ``columnar-frontier`` engine's
+    ``_marked`` flags and ``_uf.parent`` array."""
+
+    def test_healthy_run_samples_cleanly(self):
+        cp = frontier(40)
+        monitor = attach_monitor(cp, sample_every=1)
+        edges = gen.erdos_renyi(40, 200, seed=5)
+        cp.insert_batch(edges)
+        cp.delete_batch(edges[::2])
+        assert monitor.samples_taken > 2
+        assert cp.last_batch_marked > 0
+
+    def test_detects_unmarked_vertex_with_foreign_parent(self):
+        cp = frontier(8)
+        cp._uf.parent[3] = 5
+        with pytest.raises(InvariantViolation, match="unmarked vertex 3"):
+            InvariantMonitor(cp).sample()
+
+    def test_detects_cycle(self):
+        cp = frontier(8)
+        cp._marked[[2, 4, 6]] = True
+        cp._uf.parent[[2, 4, 6]] = [4, 6, 2]
+        with pytest.raises(InvariantViolation, match="does not terminate"):
+            InvariantMonitor(cp).sample()
+
+    def test_detects_two_cycle(self):
+        # Pointer doubling maps a 2-cycle to itself after one squaring.
+        cp = frontier(8)
+        cp._marked[[1, 7]] = True
+        cp._uf.parent[[1, 7]] = [7, 1]
+        with pytest.raises(InvariantViolation, match="does not terminate"):
+            InvariantMonitor(cp).sample()
+
+    def test_detects_out_of_range_parent(self):
+        cp = frontier(8)
+        cp._marked[2] = True
+        cp._uf.parent[2] = 99
+        with pytest.raises(InvariantViolation, match="out of range"):
+            InvariantMonitor(cp).sample()
+
+    def test_marked_chains_to_a_root_pass(self):
+        cp = frontier(8)
+        cp._marked[[1, 3, 5]] = True
+        cp._uf.parent[[3, 5]] = [1, 3]
+        InvariantMonitor(cp).sample()
+
+    def test_corruption_mid_batch_is_caught_at_the_next_round(self):
+        class Corrupt(UpdateHooks):
+            def round_boundary(self):
+                assert cp._marked.any() and not cp._marked[13]
+                cp._uf.parent[13] = 0
+
+        cp = frontier(14)  # 12 and 13 stay isolated and unmarked
+        monitor = InvariantMonitor(cp)
+        cp.plds.hooks = HookChain(cp.plds.hooks, Corrupt(), monitor)
+        with pytest.raises(InvariantViolation, match="unmarked vertex 13"):
+            cp.insert_batch(clique(12))
+        assert monitor.rounds_seen == 1

@@ -190,6 +190,21 @@ class TestSection6Claims:
 
 
 class TestSection7Claims:
+    """Wall-clock ratios, each side's best of ``TRIALS`` interleaved
+    passes: one host stall lands in one pass of one side, not the
+    ratio."""
+
+    TRIALS = 5
+
+    def _best_of(self, timed):
+        """Per-kind minimum over interleaved rounds of ``timed(kind)``."""
+        best = {}
+        for _ in range(self.TRIALS):
+            for kind in ("nonsync", "cplds"):
+                t = timed(kind)
+                best[kind] = min(best.get(kind, t), t)
+        return best
+
     def test_update_overhead_factor(self):
         """(§7/abstract) "adding asynchronous reads only increases the
         update time by a factor of at most 1.48" — same order here (the
@@ -199,15 +214,16 @@ class TestSection7Claims:
         n = 400
         edges = gen.chung_lu(n, 2000, seed=7)
         params = LDSParams(n, levels_per_group=20)
-        t = {}
-        for kind, impl in (
-            ("nonsync", NonSyncKCore(n, params=params)),
-            ("cplds", CPLDS(n, params=params)),
-        ):
+        kinds = {"nonsync": NonSyncKCore, "cplds": CPLDS}
+
+        def timed(kind):
+            impl = kinds[kind](n, params=params)
             t0 = time.perf_counter()
             for i in range(0, len(edges), 500):
                 impl.insert_batch(edges[i : i + 500])
-            t[kind] = time.perf_counter() - t0
+            return time.perf_counter() - t0
+
+        t = self._best_of(timed)
         assert t["cplds"] <= 3.0 * t["nonsync"]
 
     def test_read_overhead_factor(self):
@@ -218,18 +234,21 @@ class TestSection7Claims:
         n = 300
         edges = gen.chung_lu(n, 1500, seed=8)
         params = LDSParams(n, levels_per_group=20)
-        cp = CPLDS(n, params=params)
-        ns = NonSyncKCore(n, params=params)
-        cp.insert_batch(edges)
-        ns.insert_batch(edges)
+        impls = {
+            "cplds": CPLDS(n, params=params),
+            "nonsync": NonSyncKCore(n, params=params),
+        }
+        for impl in impls.values():
+            impl.insert_batch(edges)
         reps = 20_000
 
-        def timed(impl):
+        def timed(kind):
+            impl = impls[kind]
             t0 = time.perf_counter()
             for v in range(reps):
                 impl.read(v % n)
             return time.perf_counter() - t0
 
-        timed(ns)  # warm
-        ratio = timed(cp) / timed(ns)
+        t = self._best_of(timed)
+        ratio = t["cplds"] / t["nonsync"]
         assert ratio <= 3.5, f"read overhead {ratio:.2f}x out of band"
