@@ -121,7 +121,18 @@ def _noop_round(executor: Executor, size: int) -> None:
 # Phase drivers (replacing PLDS._run_insert_rounds / _run_delete_rounds)
 # ----------------------------------------------------------------------
 def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
-    """Insertion sweep over whole per-level frontiers (Invariant 1)."""
+    """Insertion sweep over whole per-level frontiers (Invariant 1).
+
+    A large batch lifts the same cohort of movers level after level in
+    lock-step.  When a round's movers equal those of the round just run
+    at ``lvl − 1``, that round's gathered rows are reused instead of
+    gathered again, less the rows that can no longer matter to the climb:
+    co-mover rows (the level kernel ignores them and the marking hook
+    buffered them in the cohort's first round) and rows whose neighbour
+    sits below ``lvl`` (only the cohort moves, so a non-mover's level and
+    ``marked`` flag stay put while it rises).  Rounds, movers and every
+    round-boundary state are those of a fresh gather.
+    """
     state = plds.state
     hooks = plds.hooks
     mode = _hook_mode(hooks)
@@ -153,6 +164,11 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
             for i, s0 in enumerate(starts):
                 enqueue(se[s0 : bounds[i + 1]], int(sl[s0]))
 
+        # The last array round's movers and rows.  Reusing rows is sound
+        # because the CSR stays frozen for the whole phase (the batch's
+        # edges were applied before the rounds), so CSR positions and the
+        # marking hook's per-phase ``seen`` filter stay valid.
+        kept: tuple | None = None
         yield_at = _next_yield()
         while heap:
             if time.perf_counter() >= yield_at:
@@ -181,6 +197,7 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                 # exceeds a handful of scalar moves.  Identical observable
                 # state — hooks fire first (as in the bulk path), then
                 # per-vertex set_level, then the post-move requeue scan.
+                kept = None
                 movers_list = movers.tolist()
                 if mode != "noop":
                     for v in movers_list:
@@ -201,7 +218,20 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                     enqueue(unique(np.asarray(req, dtype=np.int64)), new_level)
                 hooks.round_boundary()
                 continue
-            src, flat, pos, co, lw = state.gather_round(movers)
+            if kept is not None and np.array_equal(kept[0], movers):
+                # Movers only rise, and only in array or scalar rounds (a
+                # scalar round drops ``kept``), so equal movers last moved
+                # at ``lvl - 1``.  Non-mover levels did not change since,
+                # so ``lw`` is current for every row but the co-mover ones,
+                # which still hold ``lvl - 1`` and fall to the same test.
+                src, flat, pos, co, lw = kept[1]
+                live = lw >= lvl
+                src, flat, pos, co, lw = (
+                    src[live], flat[live], pos[live], co[live], lw[live]
+                )
+            else:
+                src, flat, pos, co, lw = state.gather_round(movers)
+            kept = (movers, (src, flat, pos, co, lw))
             if mode == "bulk":
                 hooks.bulk_insert_moves(movers, lvl, src, flat, pos, co, lw)
             elif mode == "scalar":

@@ -160,32 +160,45 @@ class DynamicGraph:
         :class:`~repro.errors.EdgeStateError` when ``strict``), matching the
         batch pre-processing in the paper's framework.
         """
-        count = 0
-        for u, v in self._canonical_batch(edges):
-            if v in self._adj[u]:
-                if strict:
-                    raise EdgeStateError(f"edge ({u}, {v}) already present")
-                continue
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-            count += 1
-        self._m += count
-        if count:
-            self._version += 1
-        return count
+        return self._apply_canonical(self._canonical_batch(edges), True, strict)
 
     def delete_batch(self, edges: EdgeBatch | Iterable[Edge], *, strict: bool = False) -> int:
         """Delete a batch of edges; return how many were actually removed."""
+        return self._apply_canonical(self._canonical_batch(edges), False, strict)
+
+    def _apply_canonical(
+        self, edges: Iterable[Edge], insert: bool, strict: bool = False
+    ) -> int:
+        """Insert (``insert``) or delete a batch that is already canonical:
+        every edge ``u < v``, in range, listed once — what
+        :meth:`_canonical_batch` and the filters return, or a decoded
+        checkpoint.  Edges already present (absent, for a delete) are
+        skipped, or raise :class:`~repro.errors.EdgeStateError` when
+        ``strict``; returns how many edges changed."""
+        adj = self._adj
         count = 0
-        for u, v in self._canonical_batch(edges):
-            if v not in self._adj[u]:
-                if strict:
-                    raise EdgeStateError(f"edge ({u}, {v}) not present")
-                continue
-            self._adj[u].discard(v)
-            self._adj[v].discard(u)
-            count += 1
-        self._m -= count
+        if insert:
+            for u, v in edges:
+                row = adj[u]
+                if v in row:
+                    if strict:
+                        raise EdgeStateError(f"edge ({u}, {v}) already present")
+                    continue
+                row.add(v)
+                adj[v].add(u)
+                count += 1
+            self._m += count
+        else:
+            for u, v in edges:
+                row = adj[u]
+                if v not in row:
+                    if strict:
+                        raise EdgeStateError(f"edge ({u}, {v}) not present")
+                    continue
+                row.discard(v)
+                adj[v].discard(u)
+                count += 1
+            self._m -= count
         if count:
             self._version += 1
         return count

@@ -262,21 +262,21 @@ class ObjectLevelStore:
         """Apply one pre-filtered batch to the graph, then fix counters.
 
         Callers (PLDS) canonicalise and dedup the batch against the graph
-        first, so the whole batch goes through ``insert_batch``/``delete_batch``
-        in one call; the per-edge counter updates are order-independent
-        because levels are held fixed while a batch is applied.
+        first, so the whole batch is applied in one call without a second
+        canonicalisation pass; the per-edge counter updates are
+        order-independent because levels are held fixed while a batch is
+        applied.
         """
         batch = list(edges)
         if not batch:
             return batch
         if kind == "insert":
-            applied = self.graph.insert_batch(batch)
             book_op = self.on_edge_inserted
         elif kind == "delete":
-            applied = self.graph.delete_batch(batch)
             book_op = self.on_edge_deleted
         else:
             raise ValueError(f"unknown edge-batch kind {kind!r}")
+        applied = self.graph._apply_canonical(batch, kind == "insert")
         if applied != len(batch):
             raise LDSError(
                 f"apply_edges expects a pre-filtered batch: {len(batch)} "

@@ -238,19 +238,18 @@ class FrontierLevelStore:
     ) -> list[tuple[Vertex, Vertex]]:
         """Apply one pre-filtered batch to the graph, fix all counters with
         two ``np.add.at`` scatter kernels (one per endpoint side), and track
-        the batch in the flat edge list."""
+        the batch in the flat edge list.
+
+        The batch must already be canonical (PLDS filters it), so it goes
+        to the graph without a second canonicalisation pass."""
         batch = list(edges)
         if not batch:
             return batch
-        pre = self.graph.version
-        if kind == "insert":
-            applied = self.graph.insert_batch(batch)
-            sign = 1
-        elif kind == "delete":
-            applied = self.graph.delete_batch(batch)
-            sign = -1
-        else:
+        if kind not in ("insert", "delete"):
             raise ValueError(f"unknown edge-batch kind {kind!r}")
+        pre = self.graph.version
+        sign = 1 if kind == "insert" else -1
+        applied = self.graph._apply_canonical(batch, sign > 0)
         if applied != len(batch):
             raise LDSError(
                 f"apply_edges expects a pre-filtered batch: {len(batch)} "
@@ -707,16 +706,22 @@ class FrontierLevelStore:
         co-mover row.  Equivalent to calling :meth:`set_level` once per
         mover (the counter state is a pure function of the final levels);
         the level scatter comes last, after all counters.
+
+        Each mover's ``down1`` restarts from zero and is refilled by the
+        first mask, so rows of neighbours below ``old`` and co-mover rows
+        may be left out (the reused rows of a climbing cohort, see
+        :func:`~repro.core.frontier.run_insert_rounds`); the reset runs
+        even when no row is left.
         """
         new = old + 1
         if _OBS.enabled:
             _K_RAISE.inc()
             _K_ROWS.inc(int(movers.size))
         requeue = np.empty(0, dtype=np.int64)
+        self.down1[movers] = 0
         if flat.size:
             # count_nonzero is the cheap emptiness test on the small masks
             # of typical rounds.
-            self.down1[movers] = 0
             at_old = (lw == old) & ~co
             if np.count_nonzero(at_old):
                 t = src[at_old]

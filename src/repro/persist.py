@@ -301,13 +301,17 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
             f"{source} has {len(levels_arr)} levels for {n} vertices"
         )
     backend = restore_backend(backend, CheckpointCorruptError, source)
-    edges = list(map(tuple, edges_arr.tolist()))
+    edges = edges_arr.tolist()
     levels = levels_arr.astype(int).tolist()
     params = LDSParams(n, delta=delta, lam=lam, levels_per_group=group_height)
 
     # The restored levels must be a valid LDS state; fail fast otherwise.
+    # A v4 archive decodes to sorted, distinct, in-range ``u < v`` rows
+    # (``_decode_edges`` rejects anything else): no second canonical pass.
     try:
-        return _restore_state(n, params, edges, levels, batch_number, backend)
+        return _restore_state(
+            n, params, edges, levels, batch_number, backend, version >= 4
+        )
     except Exception as exc:
         raise CheckpointCorruptError(
             f"{source} decodes to an inconsistent structure: {exc}"
@@ -317,17 +321,23 @@ def load_cplds(path: str | os.PathLike[str]) -> CPLDS:
 def _restore_state(
     n: int,
     params: LDSParams,
-    edges: list[Edge],
+    edges: list[Edge] | list[list[int]],
     levels: list[int],
     batch_number: int,
     backend: str,
+    canonical: bool = False,
 ) -> CPLDS:
     """Materialise a CPLDS from raw saved state (shared by checkpoint and
-    journal-snapshot restore); raises on an inconsistent level assignment."""
+    journal-snapshot restore); raises on an inconsistent level assignment.
+    ``canonical`` edges (``u < v``, distinct, in range) skip the graph's
+    validating canonicalisation."""
     from repro import engines
 
     cplds = engines.create("cplds", n, params=params, backend=backend)
-    cplds.graph.insert_batch(edges)
+    if canonical:
+        cplds.graph._apply_canonical(edges, True)
+    else:
+        cplds.graph.insert_batch(edges)
     cplds.plds.state.load_levels(levels)
     cplds.batch_number = batch_number
     cplds.check_invariants()

@@ -300,11 +300,15 @@ class TestPairBufferBound:
             union_pairs(uf, a, b)
 
         monkeypatch.setattr(VectorizedUnionFind, "union_pairs", record)
-        # A 40-clique inserted as one batch climbs ~60 levels in lockstep:
-        # every round re-derives the same 780 co-mover pairs.  It also
-        # lifts an 8-clique built by an earlier batch for a few rounds, so
-        # that clique's pairs are derived early and are not batch edges:
-        # only the first buffering of their rows carries them to the union.
+        # A 40-clique inserted as one batch climbs ~60 levels in lockstep.
+        # On the way it lifts an 8-clique built by an earlier batch for a
+        # few rounds, so that clique's pairs are derived early and are not
+        # batch edges: only the first buffering of their rows carries them
+        # to the union.  A cohort that climbs unchanged reuses its rows
+        # without the co-mover ones and derives its pairs once (the
+        # 8-clique's own climb in the first batch), but the 40-clique's
+        # cohort changes twice, as the 8-clique joins it and leaves it, and
+        # each change re-derives its 780 co-mover pairs.
         n = 56
         small = [(u, v) for u in range(8) for v in range(u + 1, 8)]
         tail = [(7, 8)] + [(v, v + 1) for v in range(47, n - 1)]
@@ -324,7 +328,7 @@ class TestPairBufferBound:
         for name, hooks in (("filtered", Probe), ("unfiltered", Unfiltered)):
             probes[name] = impls[name].plds.hooks = hooks(impls[name])
         for apply, edges, rebuffers in (
-            ("insert_batch", small + tail, True),
+            ("insert_batch", small + tail, False),
             ("insert_batch", clique + links, True),
             ("delete_batch", clique[::2], False),
         ):
@@ -341,8 +345,8 @@ class TestPairBufferBound:
             # The phase's CSR positions: the graph after the phase's edges.
             positions = 2 * impls["object"].graph.num_edges
             assert probes["filtered"].peak <= positions, apply
-            # The lock-step climb re-derives its pairs past the CSR size;
-            # the filtered buffer holds each row once.
+            # A climb whose cohort changes re-derives its pairs past
+            # the CSR size; the filtered buffer holds each row once.
             assert (probes["unfiltered"].peak > positions) == rebuffers, apply
             for probe in probes.values():
                 probe.peak = 0
@@ -417,6 +421,110 @@ class TestChainedObserversKeepBulkMarking:
         assert _hook_mode(impl.plds.hooks) == "noop"
         impl.apply_batch(insertions=[(0, 1), (1, 2)], deletions=[(0, 1)])
         assert impl.batch_number == 2  # one per phase, as on the CPLDS
+
+
+def _clique(lo, hi):
+    return [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
+
+
+class TestCohortRowReuse:
+    """An insert round whose movers are the previous round's reuses that
+    round's rows instead of gathering them again; every round-boundary
+    state must still be the object engine's."""
+
+    # A 24-clique climbs ~50 levels in lock-step, carrying a pendant path
+    # whose rows fall below the cohort and drop out of the kept rows.  The
+    # first batch leaves a 6-clique at level 20 and a 10-clique at 32.
+    # The 6-clique (two links a vertex) joins the cohort and leaves it
+    # marked at 28; the 10-clique (one link a vertex) has room for one
+    # more up-neighbour, so it stays put while the cohort climbs through
+    # its level with the same movers: reused rows at, one above and two
+    # above the round's level all change counters.
+    n = 50
+    first = _clique(0, 6) + _clique(6, 16)
+    batch = (
+        _clique(16, 40)
+        + [(39, 40)] + [(v, v + 1) for v in range(40, 49)]
+        + [(i, 16 + i) for i in range(6)] + [(i, 22 + i) for i in range(6)]
+        + [(6 + j, 28 + j) for j in range(10)]
+    )
+
+    @classmethod
+    def _run(cls, backend):
+        from repro.core.frontier import _hook_mode
+
+        n = cls.n
+        impl = engines.create(
+            "cplds", n, backend=backend, params=LDSParams(n, levels_per_group=4)
+        )
+        impl.insert_batch(cls.first)
+        state = impl.plds.state
+
+        def marked():
+            if backend == "object":
+                return [v for v in range(n) if impl.descriptors.is_marked(v)]
+            return np.flatnonzero(impl._marked).tolist()
+
+        boundaries = []
+
+        def observe(_tag):
+            state.assert_counters_consistent()
+            boundaries.append((
+                list(impl.levels()),
+                [int(d) for d in state.up_deg],
+                [state.satisfies_invariant1(v) for v in range(n)],
+                [state.satisfies_invariant2(v) for v in range(n)],
+                marked(),
+            ))
+
+        attach_probe(impl, InjectionProbe(observe))
+        if backend == "columnar-frontier":
+            assert _hook_mode(impl.plds.hooks) == "bulk"
+        impl.insert_batch(cls.batch)
+        impl.check_invariants()
+        return impl, boundaries
+
+    def test_round_boundaries_match_the_object_engine(self):
+        obj, obj_bounds = self._run("object")
+        frt, frt_bounds = self._run("columnar-frontier")
+        assert len(frt_bounds) > 30  # the climb ran, one boundary a round
+        assert frt_bounds == obj_bounds
+        phase_end = [
+            (
+                impl.plds.last_batch_rounds,
+                impl.plds.last_batch_moves,
+                impl.last_batch_marked,
+                impl.last_batch_dags,
+                canonical_dag_partition(impl.last_batch_dag_map),
+            )
+            for impl in (obj, frt)
+        ]
+        assert phase_end[0] == phase_end[1]
+
+    def test_repeated_cohort_is_gathered_once(self, monkeypatch):
+        from repro.lds.store import FrontierLevelStore
+
+        calls = {"gather": 0, "raise": 0}
+
+        def counting(name, method):
+            def spy(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return spy
+
+        monkeypatch.setattr(
+            FrontierLevelStore, "gather_round",
+            counting("gather", FrontierLevelStore.gather_round),
+        )
+        # One bulk_raise_level_rows call per array round.
+        monkeypatch.setattr(
+            FrontierLevelStore, "bulk_raise_level_rows",
+            counting("raise", FrontierLevelStore.bulk_raise_level_rows),
+        )
+        self._run("columnar-frontier")
+        assert calls["raise"] > 30
+        assert calls["gather"] < calls["raise"] // 4
 
 
 class TestInvalidEdgesRejectedWhole:

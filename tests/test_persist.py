@@ -240,6 +240,32 @@ class TestFormatV4:
             # Rows (0,1) (0,3) (2,4) (2,7) (5,6).
             assert data["gaps"].tolist() == [1, 2, 2, 3, 1]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_edges_are_canonicalized_once(self, backend, tmp_path, monkeypatch):
+        """A batch is canonicalized by its filter alone, and a v4 archive's
+        decoded rows (already canonical) not at all."""
+        from repro.graph.dynamic_graph import DynamicGraph
+
+        calls = []
+        canonical = DynamicGraph._canonical_batch
+
+        def spy(graph, edges):
+            edges = list(edges)
+            if edges:  # a new graph inserts its (empty) initial edges
+                calls.append(len(edges))
+            return canonical(graph, edges)
+
+        monkeypatch.setattr(DynamicGraph, "_canonical_batch", spy)
+        impl = engines.create("cplds", 30, backend=backend)
+        impl.insert_batch(gen.grid_road(5, 6, seed=3))
+        impl.delete_batch([(1, 0), (0, 1), (6, 7)])
+        assert calls == [49, 3]
+        save_cplds(impl, tmp_path / "c.npz")
+        restored = load_cplds(tmp_path / "c.npz")
+        assert calls == [49, 3]
+        assert sorted(restored.graph.edges()) == sorted(impl.graph.edges())
+        assert restored.graph.num_edges == impl.graph.num_edges
+
 
 def _write_v4(path, impl, degrees, gaps, levels=None):
     """A version-4 archive of ``impl``'s scalars with a hand-made edge
