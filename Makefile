@@ -9,7 +9,7 @@ BENCH_ARTIFACT ?= BENCH_pr16.json
 # Every target runs against the in-tree sources, no install required.
 export PYTHONPATH = src
 
-.PHONY: install test lint chaos svcbench-determinism batch-rss scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
+.PHONY: install test lint chaos svcbench-determinism svcbench-pairs batch-rss scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -32,6 +32,15 @@ chaos:
 # counts (six benchmark runs, a few minutes; what nightly CI runs).
 svcbench-determinism:
 	$(PYTHON) -m pytest svcbench -q
+
+# Alternating parent/change svcbench pairs with per-seed figures, medians,
+# IQRs and wins (exit 1 on an incorrect run).  PARENT is a checkout of the
+# parent commit, e.g. made with `git archive`.
+WORKLOAD ?= road-trickle
+SEEDS ?= 11-20
+svcbench-pairs:
+	$(PYTHON) benchmarks/svcbench_pairs.py --parent $(PARENT) --change . \
+		--workload $(WORKLOAD) --seeds $(SEEDS)
 
 # Peak RSS of one 64,000-edge insert batch in a fresh process; fails at
 # 1 GB or more (what CI runs on every push).

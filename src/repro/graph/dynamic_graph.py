@@ -174,15 +174,20 @@ class DynamicGraph:
         :meth:`_canonical_batch` and the filters return, or a decoded
         checkpoint.  Edges already present (absent, for a delete) are
         skipped, or raise :class:`~repro.errors.EdgeStateError` when
-        ``strict``; returns how many edges changed."""
+        ``strict``, before any edge is applied; returns how many edges
+        changed."""
         adj = self._adj
+        if strict:
+            edges = list(edges)
+            for u, v in edges:
+                if (v in adj[u]) == insert:
+                    state = "already present" if insert else "not present"
+                    raise EdgeStateError(f"edge ({u}, {v}) {state}")
         count = 0
         if insert:
             for u, v in edges:
                 row = adj[u]
                 if v in row:
-                    if strict:
-                        raise EdgeStateError(f"edge ({u}, {v}) already present")
                     continue
                 row.add(v)
                 adj[v].add(u)
@@ -192,8 +197,6 @@ class DynamicGraph:
             for u, v in edges:
                 row = adj[u]
                 if v not in row:
-                    if strict:
-                        raise EdgeStateError(f"edge ({u}, {v}) not present")
                     continue
                 row.discard(v)
                 adj[v].discard(u)

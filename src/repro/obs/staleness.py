@@ -31,6 +31,9 @@ Metrics (all in ``repro.obs.REGISTRY``; see ``docs/observability.md``):
   ``epoch_pins_force_advanced_total`` — read-tier traffic counters.
 * ``epoch_read_staleness_epochs`` — histogram of epochs-behind-newest for
   every bulk read served through an :class:`repro.reads.EpochPin`.
+* ``epoch_top_k_selections_total`` — top-k selections a snapshot ran
+  because its stored prefix was shorter than the k asked for (misses of
+  the per-snapshot top-k memo; hits are not counted).
 
 SLOs are declarative :class:`SLOTarget` rows evaluated against an
 observation dict (:func:`observations_from_registry` derives one from the
@@ -55,6 +58,7 @@ __all__ = [
     "EPOCH_PINS_ADVANCED",
     "EPOCH_READS",
     "EPOCH_READ_STALENESS",
+    "EPOCH_TOP_K_SELECTIONS",
     "READS_DESCRIPTOR",
     "READS_LIVE",
     "RECOVERY_SECONDS",
@@ -87,6 +91,7 @@ EPOCH_READ_STALENESS = REGISTRY.histogram(
 )
 EPOCH_PINS = REGISTRY.counter("epoch_pins_total")
 EPOCH_PINS_ADVANCED = REGISTRY.counter("epoch_pins_force_advanced_total")
+EPOCH_TOP_K_SELECTIONS = REGISTRY.counter("epoch_top_k_selections_total")
 
 
 # ---------------------------------------------------------------------------

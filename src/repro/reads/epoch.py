@@ -22,9 +22,12 @@ Three classes:
   Query costs for ``q`` requested vertices: ``level`` / ``estimate``
   O(1); ``levels_many`` / ``coreness_many`` / ``subgraph_coreness`` O(q)
   (O(n) for ``coreness_many()`` of every vertex); ``level_histogram``
-  O(n + levels); ``top_k`` O(n + levels + k log k), a selection rather
-  than a sort, ordered by descending estimate with ties by ascending
-  vertex id.
+  O(n + levels); ``top_k`` O(n + levels + k log k) on its first call per
+  snapshot, a selection rather than a sort, ordered by descending
+  estimate with ties by ascending vertex id.  The snapshot keeps the
+  longest top-k prefix selected so far, so a later call with k up to the
+  largest k asked so far costs O(k): a bulk reader that asks an epoch
+  the same question on every poll pays the selection once per epoch.
 * :class:`EpochPin` — a reader's lease on one epoch.  All reads through a
   pin are **linearizable at that epoch**: they reflect exactly the state
   after the pinned batch, for as long as the pin holds.  The store's
@@ -60,10 +63,20 @@ from repro.obs.staleness import (
     EPOCH_PINS_ADVANCED as _EPOCH_PINS_ADVANCED,
     EPOCH_READS as _EPOCH_READS,
     EPOCH_READ_STALENESS as _EPOCH_READ_STALENESS,
+    EPOCH_TOP_K_SELECTIONS as _EPOCH_TOP_K_SELECTIONS,
 )
 from repro.types import Vertex
 
 __all__ = ["EpochPin", "EpochSnapshot", "EpochSnapshotStore"]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+#: The empty top-k prefix every snapshot starts with.
+_NO_TOP = (_frozen(np.empty(0, np.int64)), _frozen(np.empty(0, np.float64)))
 
 
 class EpochSnapshot:
@@ -74,7 +87,7 @@ class EpochSnapshot:
     marked read-only.  All query methods are pure and thread-safe.
     """
 
-    __slots__ = ("epoch", "levels", "params", "_estimates")
+    __slots__ = ("epoch", "levels", "params", "_estimates", "_top")
 
     def __init__(
         self, epoch: int, levels, params: LDSParams
@@ -87,6 +100,8 @@ class EpochSnapshot:
         # Per-level coreness estimates as an array, shared by every snapshot
         # of these params: bulk reads become one fancy-indexing gather.
         self._estimates = params.estimate_array
+        # The longest top-k prefix selected so far: (vertex ids, estimates).
+        self._top = _NO_TOP
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EpochSnapshot(epoch={self.epoch}, n={self.num_vertices})"
@@ -124,14 +139,33 @@ class EpochSnapshot:
         """The ``k`` highest-coreness vertices as ``(vertex, estimate)``.
 
         Deterministic: descending estimate, ties broken by ascending
-        vertex id.  A selection, not a sort: estimates take one value per
-        level group, so they tie heavily, and only the fewer than ``k``
-        vertices strictly above the k-th largest estimate ``thr`` are
-        sorted; the rest are the lowest-id vertices at ``thr``.
+        vertex id.  The first call per snapshot costs O(n + levels +
+        k log k); later calls with k up to the largest k asked so far
+        cost O(k), sliced from the stored prefix.
         """
         k = min(k, self.levels.size)
         if k <= 0:
             return []
+        # The order is total, so the top k of any k is the first k entries
+        # of any longer prefix.  No lock: the prefix is one attribute that
+        # holds both arrays, so a reader never sees a torn pair.  Readers
+        # that race on a miss compute equal prefixes, and a shorter prefix
+        # overwriting a longer one only costs a later recompute.
+        ids, est = self._top
+        if ids.size < k:
+            ids, est = self._top = self._select_top(k)
+            if _OBS.enabled:
+                _EPOCH_TOP_K_SELECTIONS.inc()
+        return list(zip(ids[:k].tolist(), est[:k].tolist()))
+
+    def _select_top(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(ids, estimates)`` of the top ``k``, ``1 <= k <= n``.
+
+        A selection, not a sort: estimates take one value per level
+        group, so they tie heavily, and only the fewer than ``k`` vertices
+        strictly above the k-th largest estimate ``thr`` are sorted; the
+        rest are the lowest-id vertices at ``thr``.
+        """
         est = self._estimates[self.levels]
         # Estimates never fall as the level rises, so ``thr`` is the
         # estimate of the k-th largest level, read off the level histogram.
@@ -144,7 +178,7 @@ class EpochSnapshot:
         above = above[np.argsort(-est[above], kind="stable")]
         ties = np.flatnonzero(est == thr)[: k - above.size]
         order = np.concatenate((above, ties))
-        return list(zip(order.tolist(), est[order].tolist()))
+        return _frozen(order), _frozen(est[order])
 
     def level_histogram(self) -> np.ndarray:
         """Vertex count per level (length ``params.num_levels``, int64)."""

@@ -8,6 +8,9 @@ live in ``tests/test_threaded_linearizability.py``; the crash-with-pins
 schedules in ``tests/test_chaos.py``.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,31 @@ from repro.runtime.supervisor import HealthState, SupervisedCPLDS
 from repro.runtime.chaos import ChaosHooks
 
 EDGES = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 5)]
+
+
+def draw_snapshot(data):
+    """A drawn snapshot and its stable-argsort top-k reference."""
+    # Shallow groups and a few distinct levels make estimates tie
+    # heavily, the case the selection must order exactly like a sort.
+    n = data.draw(st.integers(1, 60), label="n")
+    params = LDSParams(n, levels_per_group=data.draw(st.integers(1, 4)))
+    distinct = data.draw(
+        st.lists(st.integers(0, params.max_level), min_size=1, max_size=4),
+        label="levels",
+    )
+    levels = data.draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
+    est = np.asarray(params.estimate_table)[np.asarray(levels, dtype=np.int64)]
+    order = np.argsort(-est, kind="stable")
+
+    def reference(k):
+        return [(int(v), float(est[v])) for v in order[: max(k, 0)]]
+
+    return EpochSnapshot(1, levels, params), reference
+
+
+def draw_k(n):
+    """k values around the edges: 0, negative, n and above n."""
+    return st.sampled_from([0, 1, n - 1, n, n + 3]) | st.integers(-2, n + 3)
 
 
 def engine_with_store(backend="object", n=8, **store_kw):
@@ -73,30 +101,115 @@ class TestSnapshotQueries:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_top_k_equals_stable_argsort(self, data):
-        # Shallow groups and a few distinct levels make estimates tie
-        # heavily, the case the selection must order exactly like a sort.
-        n = data.draw(st.integers(1, 60), label="n")
-        params = LDSParams(n, levels_per_group=data.draw(st.integers(1, 4)))
-        distinct = data.draw(
-            st.lists(st.integers(0, params.max_level), min_size=1, max_size=4),
-            label="levels",
-        )
-        levels = data.draw(
-            st.lists(st.sampled_from(distinct), min_size=n, max_size=n)
-        )
-        k = data.draw(
-            st.sampled_from([0, 1, n - 1, n, n + 3]) | st.integers(-2, n + 3),
-            label="k",
-        )
-        snap = EpochSnapshot(1, levels, params)
-        est = np.asarray(params.estimate_table)[np.asarray(levels, dtype=np.int64)]
-        reference = [
-            (int(v), float(est[v]))
-            for v in np.argsort(-est, kind="stable")[: max(k, 0)]
-        ]
+        snap, reference = draw_snapshot(data)
+        k = data.draw(draw_k(snap.num_vertices), label="k")
         top = snap.top_k(k)
-        assert top == reference
+        assert top == reference(k)
         assert all(type(v) is int and type(e) is float for v, e in top)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_top_k_sequence_on_one_snapshot_equals_stable_argsort(self, data):
+        # Growing, shrinking and repeated k on one snapshot: answers from
+        # the stored prefix must equal fresh selections.
+        snap, reference = draw_snapshot(data)
+        ks = data.draw(
+            st.lists(draw_k(snap.num_vertices), min_size=1, max_size=5),
+            label="ks",
+        )
+        for k in ks:
+            assert snap.top_k(k) == reference(k)
+
+    def test_mutating_a_result_does_not_change_the_next_answer(self):
+        snap = EpochSnapshot(1, [3, 1, 4, 1, 5, 9, 2, 6], LDSParams(8))
+        first = snap.top_k(5)
+        expected = list(first)
+        first.clear()
+        snap.top_k(3).append((0, 0.0))
+        assert snap.top_k(5) == expected
+        assert snap.top_k(3) == expected[:3]
+
+    def test_stored_prefix_is_read_only(self):
+        snap = EpochSnapshot(1, [3, 1, 4, 1, 5, 9, 2, 6], LDSParams(8))
+        snap.top_k(4)
+        ids, est = snap._top
+        assert ids.size == est.size == 4
+        for arr in (ids, est):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_selection_runs_once_per_snapshot_and_larger_k(self):
+        from repro import obs
+
+        rng = np.random.default_rng(7)
+        n = 400
+        pairs = {tuple(sorted(e)) for e in rng.integers(0, n, (1500, 2)).tolist()}
+        edges = sorted(e for e in pairs if e[0] != e[1])
+        was = obs.enabled()
+        obs.reset()
+        obs.enable()
+        try:
+            eng, store = engine_with_store("columnar-frontier", n=n)
+            eng.insert_batch(edges[:1000])
+            snap = store.newest()
+
+            def selections():
+                return REGISTRY.counter_value("epoch_top_k_selections_total")
+
+            first = snap.top_k(100)
+            for _ in range(19):
+                assert snap.top_k(100) == first
+            assert selections() == 1
+            snap.top_k(150)
+            assert selections() == 2
+            assert snap.top_k(100) == first
+            assert selections() == 2
+            eng.insert_batch(edges[1000:])
+            fresh = store.newest()
+            assert fresh.epoch == snap.epoch + 1
+            fresh.top_k(100)
+            assert selections() == 3
+        finally:
+            REGISTRY.enabled = was
+            obs.reset()
+
+    def test_threads_racing_on_a_fresh_snapshot_agree_with_argsort(self):
+        rng = np.random.default_rng(11)
+        params = LDSParams(3000, levels_per_group=2)
+        levels = rng.integers(0, params.max_level + 1, 3000)
+        est = np.asarray(params.estimate_table)[levels]
+        order = np.argsort(-est, kind="stable")
+        snap = EpochSnapshot(1, levels, params)
+        barrier = threading.Barrier(4, timeout=30)
+        ks = ([50, 500, 5], [500, 50, 2000], [5, 2000, 500], [2000, 5, 50])
+        results = [[] for _ in ks]
+
+        def reader(i):
+            barrier.wait()
+            for k in ks[i] * 3:
+                results[i].append((k, snap.top_k(k)))
+
+        threads = [
+            threading.Thread(target=reader, args=(i,), daemon=True)
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert len(got) == 9
+            for k, top in got:
+                assert top == [
+                    (int(v), float(est[v])) for v in order[:k]
+                ]
 
     def test_snapshots_share_one_read_only_estimate_array(self):
         eng, store = engine_with_store("columnar-frontier")

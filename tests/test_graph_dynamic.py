@@ -43,6 +43,15 @@ class TestInsertion:
         with pytest.raises(EdgeStateError):
             g.insert_batch([(0, 1)], strict=True)
 
+    def test_strict_insert_rejects_the_whole_batch(self):
+        g = DynamicGraph(4, edges=[(1, 2)])
+        version = g.version
+        with pytest.raises(EdgeStateError):
+            g.insert_batch([(0, 1), (1, 2)], strict=True)
+        assert sorted(g.edges()) == [(1, 2)]
+        assert g.num_edges == 1
+        assert g.version == version
+
     def test_self_loop_rejected(self):
         g = DynamicGraph(3)
         with pytest.raises(SelfLoopError):
@@ -85,6 +94,15 @@ class TestDeletion:
         g = DynamicGraph(3)
         with pytest.raises(EdgeStateError):
             g.delete_batch([(0, 1)], strict=True)
+
+    def test_strict_delete_rejects_the_whole_batch(self):
+        g = DynamicGraph(4, edges=[(1, 2), (2, 3)])
+        version = g.version
+        with pytest.raises(EdgeStateError):
+            g.delete_batch([(1, 2), (0, 1)], strict=True)
+        assert sorted(g.edges()) == [(1, 2), (2, 3)]
+        assert g.num_edges == 2
+        assert g.version == version
 
     def test_delete_then_reinsert(self):
         g = DynamicGraph(3, edges=[(0, 1)])
