@@ -22,7 +22,12 @@ service layer's durability story:
 * **The batch journal** (:class:`BatchJournal`) is an append-only,
   checksummed record of every batch the service layer applies, written
   *before* the batch touches the structure (write-ahead) and committed with
-  a marker afterwards.  Recovery is therefore *restore the newest valid
+  a marker afterwards.  Version 2 writes one length-prefixed binary frame
+  per record, with a CRC-32 over its header and one over its payload; a
+  batch stores its endpoints in the narrowest unsigned word that holds
+  them (:func:`_narrow`), and a compaction snapshot reuses the version-4
+  checkpoint's edge layout.  Version-1 JSON-line journals still scan and
+  recover, and recovery rewrites them as version 2.  Recovery is therefore *restore the newest valid
   checkpoint, then replay the committed journal suffix* — batch by batch,
   which reproduces the exact level history (the PLDS is deterministic under
   the sequential executor).  A torn final record — the signature of a crash
@@ -35,11 +40,13 @@ batch, so a structure with no batch in flight has nothing transient to save.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -67,8 +74,11 @@ FORMAT_VERSION = 4
 #: Oldest checkpoint format :func:`load_cplds` still understands.
 MIN_FORMAT_VERSION = 2
 
-#: Format version embedded in every journal's genesis record.
-JOURNAL_VERSION = 1
+#: Format version embedded in every journal's genesis record.  Version 1
+#: wrote one ``<crc32-hex> <compact-json>\n`` line per record; version 2
+#: writes binary frames (see :class:`BatchJournal`).  Version-1 files still
+#: scan and recover.
+JOURNAL_VERSION = 2
 
 #: Backend names that stored records may carry but the registry no longer
 #: has, mapped to the backend their state restores onto.  The plain
@@ -157,39 +167,43 @@ def _encode_edges(
 
 
 def _decode_edges(
-    degrees: np.ndarray, gaps: np.ndarray, n: int, source: str
+    degrees: np.ndarray,
+    gaps: np.ndarray,
+    n: int,
+    source: str,
+    error: type[PersistError] = CheckpointCorruptError,
 ) -> np.ndarray:
     """Invert :func:`_encode_edges`: the sorted ``int64`` ``(m, 2)`` rows.
 
     One ``repeat`` gives each row its ``u``; one cumulative sum over all
     gaps, less its running total at each vertex's first row, gives ``v``.
-    A layout no encoder writes raises
-    :class:`~repro.errors.CheckpointCorruptError`.
+    A layout no encoder writes raises ``error`` (checkpoints and journal
+    snapshots pass their own corruption type).
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     gaps = np.asarray(gaps, dtype=np.int64)
     if degrees.shape != (n,) or gaps.ndim != 1:
-        raise CheckpointCorruptError(
+        raise error(
             f"{source} stores {degrees.shape} forward degrees and "
             f"{gaps.shape} gaps for {n} vertices"
         )
     if (degrees < 0).any() or int(degrees.sum()) != gaps.size:
-        raise CheckpointCorruptError(
+        raise error(
             f"{source} has forward degrees that do not sum to its "
             f"{gaps.size} gaps"
         )
     if gaps.size and gaps.min() < 1:
-        raise CheckpointCorruptError(f"{source} stores a zero gap")
+        raise error(f"{source} stores a zero gap")
     # A gap of n or more already puts its endpoint out of range, and
     # rejecting it first keeps the cumulative sum clear of overflow.
     if gaps.size and gaps.max() >= n:
-        raise CheckpointCorruptError(f"{source} has an endpoint >= {n}")
+        raise error(f"{source} has an endpoint >= {n}")
     u = np.repeat(np.arange(n, dtype=np.int64), degrees)
     total = np.cumsum(gaps)
     row_base = np.concatenate(([0], total))[np.cumsum(degrees) - degrees]
     v = u + total - row_base[u]
     if v.size and v.max() >= n:
-        raise CheckpointCorruptError(f"{source} has an endpoint >= {n}")
+        raise error(f"{source} has an endpoint >= {n}")
     return np.stack([u, v], axis=1)
 
 
@@ -348,26 +362,38 @@ def cplds_from_snapshot(genesis: dict, snapshot: dict) -> CPLDS:
     """Materialise the CPLDS embedded in a journal ``snapshot`` record.
 
     ``genesis`` supplies the dimensions and parameters; the snapshot record
-    carries levels, edges, and the batch counter.  An inconsistent snapshot
-    raises :class:`~repro.errors.JournalCorruptError` (the record's CRC
-    already passed, so inconsistency means a logic bug or hand-edited file).
+    carries levels, edges, and the batch counter.  A version-2 snapshot
+    holds the version-4 checkpoint's edge layout (``forward_degrees`` and
+    ``gaps``, restored through :func:`_decode_edges` with no canonical
+    pass); a version-1 snapshot holds JSON ``edges`` pairs.  An
+    inconsistent snapshot raises :class:`~repro.errors.JournalCorruptError`
+    (the record's CRC already passed, so inconsistency means a logic bug or
+    hand-edited file).
     """
     n, params, backend = _genesis_config(genesis)
+    source = f"journal snapshot at seq {snapshot.get('seq')}"
     try:
+        if "gaps" in snapshot:
+            edges = _decode_edges(
+                snapshot["forward_degrees"], snapshot["gaps"], n, source,
+                JournalCorruptError,
+            ).tolist()
+        else:
+            edges = [(int(u), int(v)) for u, v in snapshot["edges"]]
         return _restore_state(
             n,
             params,
-            [(int(u), int(v)) for u, v in snapshot["edges"]],
-            [int(x) for x in snapshot["levels"]],
+            edges,
+            np.asarray(snapshot["levels"], dtype=np.int64).tolist(),
             int(snapshot["batch_number"]),
             backend,
+            "gaps" in snapshot,
         )
     except ReproError:
         raise
     except Exception as exc:
         raise JournalCorruptError(
-            f"journal snapshot at seq {snapshot.get('seq')} decodes to an "
-            f"inconsistent structure: {exc}"
+            f"{source} decodes to an inconsistent structure: {exc}"
         ) from exc
 
 
@@ -429,12 +455,17 @@ class JournalContents:
 
     ``records`` preserves file order; ``torn_tail`` reports whether the scan
     dropped an incomplete final record (the normal signature of a crash
-    mid-append — not an error).
+    mid-append — not an error).  Both journal versions scan to the same
+    record dicts.  ``genesis_bytes`` is the length of the file's prefix
+    through the genesis record (the magic included) and ``intact_bytes``
+    the length of its prefix through the last intact record.
     """
 
     genesis: dict
     records: list[dict] = field(default_factory=list)
     torn_tail: bool = False
+    genesis_bytes: int = 0
+    intact_bytes: int = 0
 
     def committed_batches(self) -> list[BatchRecord]:
         """The replayable history: batch records with a commit marker, in
@@ -512,12 +543,7 @@ def _genesis_payload(
     }
 
 
-def _encode_record(payload: dict) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return f"{crc:08x} {body}\n".encode("utf-8")
-
-
+# -- version 1: one ``<crc32-hex> <compact-json>\n`` line per record -------
 def _decode_line(line: bytes) -> dict | None:
     """Parse one journal line; None means invalid (torn or corrupt)."""
     if not line.endswith(b"\n"):
@@ -533,16 +559,228 @@ def _decode_line(line: bytes) -> dict | None:
     return payload if isinstance(payload, dict) else None
 
 
+def _scan_lines(data: bytes, name: str) -> JournalContents:
+    """Scan a version-1 journal: a bad final line is a torn tail, a bad
+    line anywhere before it raises."""
+    lines = io.BytesIO(data).readlines()
+    genesis = _decode_line(lines[0])
+    if (
+        genesis is None
+        or genesis.get("type") != "genesis"
+        or genesis.get("journal_version") != 1
+    ):
+        raise JournalCorruptError(
+            f"journal {name!r} has an invalid genesis record"
+        )
+    contents = JournalContents(genesis=genesis, genesis_bytes=len(lines[0]))
+    intact = len(lines[0])
+    for i, line in enumerate(lines[1:], start=1):
+        payload = _decode_line(line)
+        if payload is None:
+            if i == len(lines) - 1:
+                contents.torn_tail = True
+                break
+            raise JournalCorruptError(
+                f"journal {name!r} record {i} is corrupt (not at the tail)"
+            )
+        contents.records.append(payload)
+        intact += len(line)
+    contents.intact_bytes = intact
+    return contents
+
+
+# -- version 2: length-prefixed, CRC-checked binary frames -----------------
+#: The bytes that open a version-2 journal.  A version-1 journal opens with
+#: eight hex digits and a space, so the first byte tells the two apart.
+JOURNAL_MAGIC = b"\x89KCJ2\n"
+
+_GENESIS, _BATCH, _COMMIT, _CHECKPOINT, _SNAPSHOT = range(1, 6)
+
+#: Frame header: type and payload length, then a CRC-32 of those 5 bytes
+#: and a CRC-32 of the payload (13 bytes, little-endian).
+_HEAD = struct.Struct("<BI")
+_CRCS = struct.Struct("<II")
+_HEADER_BYTES = _HEAD.size + _CRCS.size
+
+#: Batch payload: seq, insert count, delete count, endpoint word code; then
+#: the flattened ``(u, v)`` endpoints, inserts first, in submitted order.
+_BATCH_HEAD = struct.Struct("<QIIB")
+#: Commit payload; a checkpoint note appends the UTF-8 file name.
+_SEQ = struct.Struct("<Q")
+#: Snapshot payload: seq, batch number, n, m, and the word codes of the
+#: ``forward_degrees[n]``, ``gaps[m]`` and ``levels[n]`` columns after it.
+_SNAPSHOT_HEAD = struct.Struct("<QQQQBBB")
+
+#: Column word codes: a code indexes this tuple.  Columns are stored in the
+#: narrowest unsigned word holding their largest value; ``<i8`` keeps a
+#: batch that names a negative id (which the engine then rejects).
+_WORDS = tuple(np.dtype(w) for w in ("<u1", "<u2", "<u4", "<u8", "<i8"))
+
+
+def _frame(kind: int, payload: bytes) -> bytes:
+    head = _HEAD.pack(kind, len(payload))
+    return head + _CRCS.pack(zlib.crc32(head), zlib.crc32(payload)) + payload
+
+
+def _genesis_frame(payload: dict) -> bytes:
+    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return _frame(_GENESIS, body.encode("utf-8"))
+
+
+def _words(values: np.ndarray) -> tuple[int, bytes]:
+    """A column as its word code and little-endian bytes."""
+    dtype = values.dtype.newbyteorder("<")
+    return _WORDS.index(dtype), values.astype(dtype, copy=False).tobytes()
+
+
+def _genesis_record(payload: bytes) -> dict:
+    record = json.loads(payload)
+    if not isinstance(record, dict):
+        raise ValueError("genesis payload is not an object")
+    return record
+
+
+def _batch_record(payload: bytes) -> dict:
+    seq, n_ins, n_del, code = _BATCH_HEAD.unpack_from(payload)
+    flat = np.frombuffer(payload, _WORDS[code], offset=_BATCH_HEAD.size)
+    if flat.size != 2 * (n_ins + n_del):
+        raise ValueError(f"{flat.size} endpoints for {n_ins} + {n_del} edges")
+    ends = flat.tolist()
+    pairs = list(zip(ends[0::2], ends[1::2]))
+    return {"type": "batch", "seq": seq, "ins": pairs[:n_ins], "del": pairs[n_ins:]}
+
+
+def _commit_record(payload: bytes) -> dict:
+    (seq,) = _SEQ.unpack(payload)
+    return {"type": "commit", "seq": seq}
+
+
+def _checkpoint_record(payload: bytes) -> dict:
+    (seq,) = _SEQ.unpack_from(payload)
+    return {
+        "type": "checkpoint",
+        "seq": seq,
+        "file": payload[_SEQ.size:].decode("utf-8"),
+    }
+
+
+def _snapshot_record(payload: bytes) -> dict:
+    seq, batch_number, n, m, *codes = _SNAPSHOT_HEAD.unpack_from(payload)
+    columns, offset = [], _SNAPSHOT_HEAD.size
+    for code, count in zip(codes, (n, m, n)):
+        column = np.frombuffer(payload, _WORDS[code], count, offset)
+        offset += column.nbytes
+        columns.append(column)
+    if offset != len(payload):
+        raise ValueError(f"{len(payload) - offset} bytes after the levels")
+    degrees, gaps, levels = columns
+    return {
+        "type": "snapshot",
+        "seq": seq,
+        "batch_number": batch_number,
+        "forward_degrees": degrees,
+        "gaps": gaps,
+        "levels": levels,
+    }
+
+
+_DECODERS = {
+    _GENESIS: _genesis_record,
+    _BATCH: _batch_record,
+    _COMMIT: _commit_record,
+    _CHECKPOINT: _checkpoint_record,
+    _SNAPSHOT: _snapshot_record,
+}
+
+
+def _scan_frames(data: bytes, name: str) -> JournalContents:
+    """Scan a version-2 journal by the frame rules of :class:`BatchJournal`."""
+    records: list[dict] = []
+    genesis_bytes = 0
+    pos, torn = len(JOURNAL_MAGIC), False
+    while pos < len(data):
+        body = pos + _HEADER_BYTES
+        if body > len(data):
+            torn = True  # a header cut short
+            break
+        kind, length = _HEAD.unpack_from(data, pos)
+        head_crc, body_crc = _CRCS.unpack_from(data, pos + _HEAD.size)
+        # A torn write shortens the file but never rewrites a length, so a
+        # damaged header is corruption wherever it sits.
+        if zlib.crc32(data[pos:pos + _HEAD.size]) != head_crc:
+            raise JournalCorruptError(
+                f"journal {name!r} record {len(records)} has a damaged "
+                "frame header"
+            )
+        stop = body + length
+        if stop > len(data):
+            torn = True  # a payload cut short
+            break
+        payload = data[body:stop]
+        if zlib.crc32(payload) != body_crc:
+            if stop == len(data):
+                torn = True
+                break
+            raise JournalCorruptError(
+                f"journal {name!r} record {len(records)} is corrupt "
+                "(not at the tail)"
+            )
+        try:
+            records.append(_DECODERS[kind](payload))
+        except (KeyError, IndexError, ValueError, struct.error) as exc:
+            raise JournalCorruptError(
+                f"journal {name!r} record {len(records)} is malformed: {exc}"
+            ) from exc
+        pos = stop
+        genesis_bytes = genesis_bytes or pos
+    if (
+        not records
+        or records[0].get("type") != "genesis"
+        or records[0].get("journal_version") != JOURNAL_VERSION
+    ):
+        raise JournalCorruptError(
+            f"journal {name!r} has an invalid genesis record"
+        )
+    return JournalContents(
+        genesis=records[0],
+        records=records[1:],
+        torn_tail=torn,
+        genesis_bytes=genesis_bytes,
+        intact_bytes=pos,
+    )
+
+
 class BatchJournal:
     """Append-only, checksummed write-ahead log of applied batches.
 
-    Line format: ``<crc32-hex> <compact-json>\\n``.  The first record is a
-    *genesis* record fixing the vertex universe and LDS parameters, so a
-    journal alone suffices to rebuild the structure from scratch.  Batches
-    are appended **before** they are applied and followed by a tiny commit
-    marker on success; only committed records are replayed, so a batch that
-    died mid-apply (and was re-tried or bisected under new sequence numbers)
-    never reaches a recovered structure twice.
+    The first record is a *genesis* record fixing the vertex universe and
+    LDS parameters, so a journal alone suffices to rebuild the structure
+    from scratch.  Batches are appended **before** they are applied and
+    followed by a tiny commit marker on success; only committed records
+    are replayed, so a batch that died mid-apply (and was re-tried or
+    bisected under new sequence numbers) never reaches a recovered
+    structure twice.
+
+    File format (version :data:`JOURNAL_VERSION`): :data:`JOURNAL_MAGIC`,
+    then one frame per record.  A frame is a 13-byte header (type ``u8``,
+    payload length ``u32``, a CRC-32 of those 5 bytes, a CRC-32 of the
+    payload) and the payload:
+
+    * genesis — :func:`_genesis_payload` as compact JSON;
+    * batch — ``seq u64``, insert and delete counts ``u32``, one word code,
+      then the insert and delete endpoints as flattened ``(u, v)`` in the
+      order :meth:`append_batch` received them, in the narrowest unsigned
+      word holding the batch's largest id: O(b), nothing O(n);
+    * commit — ``seq u64``; checkpoint note — ``seq u64`` + UTF-8 name;
+    * snapshot (written by :meth:`compact`) — the version-4 checkpoint's
+      ``forward_degrees``, ``gaps`` and narrow ``levels`` columns.
+
+    A scan treats a header or payload cut short by EOF, and a payload
+    whose CRC fails in the last frame, as a torn tail; a header whose CRC
+    fails anywhere, and a failed payload CRC before the last frame, raise
+    :class:`~repro.errors.JournalCorruptError`.  Version-1 files (one
+    ``<crc32-hex> <compact-json>\\n`` line per record) still scan and
+    recover; :meth:`open` refuses to append to one.
 
     ``sync=True`` fsyncs after every append (true crash durability at a
     throughput cost); the default flushes to the OS, which survives process
@@ -556,12 +794,16 @@ class BatchJournal:
         _file: IO[bytes],
         _genesis: dict,
         _next_seq: int,
+        _size: int,
         sync: bool = False,
     ) -> None:
         self.path = os.fspath(path)
         self._file = _file
         self.genesis = _genesis
         self._next_seq = _next_seq
+        #: Bytes in the file: those present when this handle opened plus
+        #: every frame written through it.
+        self.size = _size
         self.sync = sync
 
     # -- constructors ----------------------------------------------------
@@ -581,9 +823,9 @@ class BatchJournal:
         genesis = _genesis_payload(num_vertices, params, backend)
         fh = open(path, "ab")
         journal = cls(
-            path, _file=fh, _genesis=genesis, _next_seq=1, sync=sync
+            path, _file=fh, _genesis=genesis, _next_seq=1, _size=0, sync=sync
         )
-        journal._write(genesis)
+        journal._write(JOURNAL_MAGIC + _genesis_frame(genesis))
         return journal
 
     @classmethod
@@ -607,25 +849,26 @@ class BatchJournal:
         what happens to the checkpoint files.  The rewrite goes through a
         temporary file and ``os.replace``, so a crash mid-compaction
         leaves either the old journal or the new one, never a hybrid.
+        It always writes version 2, whatever version the old file was.
         """
         path = os.fspath(path)
-        genesis = _genesis_payload(
-            cplds.graph.num_vertices, cplds.params, cplds.backend
+        n = cplds.graph.num_vertices
+        genesis = _genesis_payload(n, cplds.params, cplds.backend)
+        _, degrees, gaps = _encode_edges(cplds.graph.edge_array(), n)
+        levels = np.asarray(cplds.plds.state.levels_snapshot(), dtype=np.int64)
+        levels = levels.astype(np.min_scalar_type(cplds.params.num_levels - 1))
+        codes, columns = zip(*(_words(c) for c in (degrees, gaps, levels)))
+        head = _SNAPSHOT_HEAD.pack(
+            int(seq), int(cplds.batch_number), n, gaps.size, *codes
         )
-        # Plain-int (u, v) pairs from one flat tolist, not m row lists;
-        # JSON writes tuples as the same [u, v] arrays.
-        flat = iter(cplds.graph.edge_array().ravel().tolist())
-        snapshot = {
-            "type": "snapshot",
-            "seq": int(seq),
-            "batch_number": int(cplds.batch_number),
-            "levels": [int(x) for x in cplds.plds.state.levels_snapshot()],
-            "edges": list(zip(flat, flat)),
-        }
+        data = (
+            JOURNAL_MAGIC
+            + _genesis_frame(genesis)
+            + _frame(_SNAPSHOT, head + b"".join(columns))
+        )
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
-            fh.write(_encode_record(genesis))
-            fh.write(_encode_record(snapshot))
+            fh.write(data)
             fh.flush()
             if sync:
                 os.fsync(fh.fileno())
@@ -635,6 +878,7 @@ class BatchJournal:
             _file=open(path, "ab"),
             _genesis=genesis,
             _next_seq=int(seq) + 1,
+            _size=len(data),
             sync=sync,
         )
 
@@ -642,101 +886,89 @@ class BatchJournal:
     def open(
         cls, path: str | os.PathLike[str], *, sync: bool = False
     ) -> "BatchJournal":
-        """Re-open an existing journal for appending (after a scan).
+        """Re-open an existing version-2 journal for appending.
 
         A torn final record (partial write from a crash) is truncated away
         before the append handle is opened — otherwise new records would
         land *after* the damage, turning tolerated tail damage into
-        mid-stream corruption on the next scan.
+        mid-stream corruption on the next scan.  A version-1 journal
+        raises :class:`~repro.errors.PersistError`:
+        :meth:`SupervisedCPLDS.open <repro.runtime.supervisor.SupervisedCPLDS.open>`
+        recovers it and rewrites it as version 2.
         """
         contents = cls.scan(path)
+        if contents.genesis["journal_version"] != JOURNAL_VERSION:
+            raise PersistError(
+                f"journal {os.fspath(path)!r} is version "
+                f"{contents.genesis['journal_version']}; recover it with "
+                f"SupervisedCPLDS.open, which rewrites it as version "
+                f"{JOURNAL_VERSION}"
+            )
         if contents.torn_tail:
-            with open(path, "rb") as reader:
-                lines = reader.readlines()
             with open(path, "r+b") as writer:
-                writer.truncate(sum(len(line) for line in lines[:-1]))
+                writer.truncate(contents.intact_bytes)
         fh = open(path, "ab")
         return cls(
             path,
             _file=fh,
             _genesis=contents.genesis,
             _next_seq=contents.last_seq() + 1,
+            _size=contents.intact_bytes,
             sync=sync,
         )
 
     # -- reading ---------------------------------------------------------
     @staticmethod
     def scan(path: str | os.PathLike[str]) -> JournalContents:
-        """Read and validate a journal file.
+        """Read and validate a journal file of either version.
 
         Tolerates (and reports) a torn final record; raises
         :class:`~repro.errors.JournalCorruptError` for an invalid genesis or
         for corruption before the tail.
         """
+        name = os.fspath(path)
         try:
             with open(path, "rb") as fh:
-                lines = fh.readlines()
+                data = fh.read()
         except OSError as exc:
             raise JournalCorruptError(
-                f"journal {os.fspath(path)!r} is unreadable: {exc}"
+                f"journal {name!r} is unreadable: {exc}"
             ) from exc
-        if not lines:
+        if not data:
             raise JournalCorruptError(
-                f"journal {os.fspath(path)!r} is empty (no genesis record)"
+                f"journal {name!r} is empty (no genesis record)"
             )
-        genesis = _decode_line(lines[0])
-        if (
-            genesis is None
-            or genesis.get("type") != "genesis"
-            or genesis.get("journal_version") != JOURNAL_VERSION
-        ):
-            raise JournalCorruptError(
-                f"journal {os.fspath(path)!r} has an invalid genesis record"
-            )
-        contents = JournalContents(genesis=genesis)
-        for i, line in enumerate(lines[1:], start=1):
-            payload = _decode_line(line)
-            if payload is None:
-                if i == len(lines) - 1:
-                    contents.torn_tail = True
-                    break
-                raise JournalCorruptError(
-                    f"journal {os.fspath(path)!r} record {i} is corrupt "
-                    "(not at the tail)"
-                )
-            contents.records.append(payload)
-        return contents
+        if data.startswith(JOURNAL_MAGIC):
+            return _scan_frames(data, name)
+        return _scan_lines(data, name)
 
     # -- writing ---------------------------------------------------------
-    def _write(self, payload: dict) -> None:
-        self._file.write(_encode_record(payload))
+    def _write(self, data: bytes) -> None:
+        self._file.write(data)
+        self.size += len(data)
         self._file.flush()
         if self.sync:
             os.fsync(self._file.fileno())
 
     def append_batch(
-        self, insertions: Iterable[Edge], deletions: Iterable[Edge]
+        self, insertions: Sequence[Edge], deletions: Sequence[Edge]
     ) -> int:
         """Write-ahead record for one batch; returns its sequence number."""
         seq = self._next_seq
         self._next_seq += 1
-        self._write(
-            {
-                "type": "batch",
-                "seq": seq,
-                "ins": [[int(u), int(v)] for u, v in insertions],
-                "del": [[int(u), int(v)] for u, v in deletions],
-            }
-        )
+        ends = np.asarray([*insertions, *deletions], dtype=np.int64).reshape(-1)
+        code, words = _words(ends if ends.size and ends.min() < 0 else _narrow(ends))
+        head = _BATCH_HEAD.pack(seq, len(insertions), len(deletions), code)
+        self._write(_frame(_BATCH, head + words))
         return seq
 
     def commit(self, seq: int) -> None:
         """Mark batch ``seq`` as durably applied."""
-        self._write({"type": "commit", "seq": seq})
+        self._write(_frame(_COMMIT, _SEQ.pack(seq)))
 
     def note_checkpoint(self, seq: int, filename: str) -> None:
         """Record that a checkpoint covering batches ``<= seq`` was written."""
-        self._write({"type": "checkpoint", "seq": seq, "file": filename})
+        self._write(_frame(_CHECKPOINT, _SEQ.pack(seq) + filename.encode("utf-8")))
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""

@@ -37,8 +37,10 @@ from typing import Sequence
 from repro.core.cplds import CPLDS
 from repro.lds.plds import Phase, UpdateHooks
 from repro.obs.flightrec import RECORDER as _REC, EventType as _EV
+from repro.persist import BatchJournal
 from repro.runtime.inject import HookChain
 from repro.runtime.supervisor import (
+    JOURNAL_FILENAME,
     AppliedRecord,
     HealthState,
     SupervisedCPLDS,
@@ -164,9 +166,15 @@ def _corrupt_checkpoint(path: str, rng: random.Random) -> None:
 
 
 def _truncate_tail(path: str, rng: random.Random) -> int:
-    """Chop a seeded number of bytes off the journal tail; returns count."""
+    """Chop a seeded number of bytes off the journal tail; returns count.
+
+    The genesis record always survives: a crash of a started journal
+    tears at most what was appended after it.  Everything after the
+    genesis is backend-blind, so the chop is the same on every backend.
+    """
     size = os.path.getsize(path)
-    chop = min(rng.randint(1, 120), max(0, size - 80))
+    floor = BatchJournal.scan(path).genesis_bytes
+    chop = min(rng.randint(1, 120), max(0, size - floor))
     if chop > 0:
         with open(path, "r+b") as fh:
             fh.truncate(size - chop)
@@ -313,7 +321,7 @@ def _run_chaos_inner(
                 restart_pin.coreness_many(range(n)).tolist()
             )
             service._journal.close()
-            jpath = os.path.join(directory, "journal.jsonl")
+            jpath = os.path.join(directory, JOURNAL_FILENAME)
             if rng.random() < 0.6:
                 chop = _truncate_tail(jpath, rng)
                 truncated_bytes += chop

@@ -121,6 +121,7 @@ _SERVICE_COUNTER_FIELDS = (
     "checkpoints_rejected",
     "checkpoint_bytes",
     "journal_records",
+    "journal_bytes",
     "stale_reads",
 )
 
@@ -158,6 +159,9 @@ class ServiceTelemetry:
     #: Bytes of every checkpoint file written (the archive sizes, summed).
     checkpoint_bytes: int = 0
     journal_records: int = 0
+    #: Bytes of every journal frame written; a reopened service counts
+    #: the compacted file it starts from.
+    journal_bytes: int = 0
     stale_reads: int = 0
     #: Largest snapshot age (in batch epochs) any stale read was served at.
     #: A max, not a counter — kept out of ``_SERVICE_COUNTER_FIELDS`` and
@@ -205,6 +209,7 @@ class ServiceTelemetry:
             "checkpoints_rejected": self.checkpoints_rejected,
             "checkpoint_bytes": self.checkpoint_bytes,
             "journal_records": self.journal_records,
+            "journal_bytes": self.journal_bytes,
             "stale_reads": self.stale_reads,
             "stale_read_max_age": self.stale_read_max_age,
             "transitions": len(self.transitions),
@@ -458,6 +463,7 @@ class SupervisedCPLDS:
 
         self._journal: "BatchJournal | None" = None
         self._journal_dir: str | None = None
+        self._journal_counted = 0  # journal bytes already in telemetry
         self._next_seq = 1  # used only when journaling is disabled
         self._last_seq = 0
         self._committed_since_checkpoint = 0
@@ -486,7 +492,7 @@ class SupervisedCPLDS:
                 backend=impl.backend,
                 sync=sync,
             )
-            self.telemetry.journal_records += 1
+            self._count_journal()
             if impl.graph.num_edges or impl.batch_number:
                 # Non-empty adoption: snapshot the starting state so a
                 # from-genesis replay is never needed to reach it.
@@ -532,7 +538,7 @@ class SupervisedCPLDS:
             seq=report.recovered_through,
             sync=sync,
         )
-        service.telemetry.journal_records += 2  # genesis + snapshot
+        service._count_journal(2)  # genesis + snapshot
         service._last_seq = report.recovered_through
         service.telemetry.recoveries += 1
         service.telemetry.checkpoints_rejected += report.checkpoints_rejected
@@ -729,7 +735,7 @@ class SupervisedCPLDS:
         except Exception as exc:
             self._fail(exc)
             raise ServiceFailedError("journal append failed") from exc
-        self.telemetry.journal_records += 1
+        self._count_journal()
         return seq
 
     def _commit_journal(self, seq: int) -> None:
@@ -740,7 +746,14 @@ class SupervisedCPLDS:
         except Exception as exc:
             self._fail(exc)
             raise ServiceFailedError("journal commit failed") from exc
-        self.telemetry.journal_records += 1
+        self._count_journal()
+
+    def _count_journal(self, records: int = 1) -> None:
+        """Count ``records`` new journal records and the bytes they added."""
+        size = self._journal.size
+        self.telemetry.journal_records += records
+        self.telemetry.journal_bytes += size - self._journal_counted
+        self._journal_counted = size
 
     def _after_commit(
         self, seq: int, ins: list[Edge], dels: list[Edge], outcome: BatchOutcome
@@ -865,7 +878,7 @@ class SupervisedCPLDS:
             return
         size = os.path.getsize(path)
         self._journal.note_checkpoint(self._last_seq, name)
-        self.telemetry.journal_records += 1
+        self._count_journal()
         self.telemetry.checkpoints_written += 1
         self.telemetry.checkpoint_bytes += size
         if _REC.enabled:

@@ -36,16 +36,18 @@ from repro.errors import (
     VertexOutOfRange,
 )
 from repro.persist import (
+    JOURNAL_MAGIC,
     BatchJournal,
     _checkpoint_checksum,
-    _encode_record,
     _genesis_payload,
+    _genesis_frame,
     load_cplds,
     save_cplds,
 )
 from repro.runtime.chaos import ChaosHooks
 from repro.runtime.inject import HookChain, InjectionProbe, attach_probe
 from repro.runtime.supervisor import JOURNAL_FILENAME, SupervisedCPLDS
+from tests.journal_files import v1_line
 
 
 def mixed_schedule(seed, n, num_batches):
@@ -841,8 +843,28 @@ class TestRetiredColumnarName:
             "edges": [list(e) for e in impl.graph.edges()],
         }
         genesis = _genesis_payload(self.N, impl.params, "columnar")
+        genesis["journal_version"] = 1
+        (d / JOURNAL_FILENAME).write_bytes(v1_line(genesis) + v1_line(snapshot))
+        backend, levels, resaved, report = self._open(d)
+        assert backend == "columnar-frontier"
+        assert levels == list(impl.levels())
+        assert report.recovered_through == 5
+        assert resaved == "columnar-frontier"
+
+    def test_v2_snapshot_journal_restores_onto_frontier(self, tmp_path):
+        """The v2 twin: a compacted journal whose genesis names the
+        retired backend."""
+        impl, _ = self._reference()
+        d = tmp_path / "state"
+        d.mkdir()
+        compacted = tmp_path / "compacted.jsonl"
+        BatchJournal.compact(compacted, cplds=impl, seq=5).close()
+        after_genesis = BatchJournal.scan(compacted).genesis_bytes
+        genesis = _genesis_payload(self.N, impl.params, "columnar")
         (d / JOURNAL_FILENAME).write_bytes(
-            _encode_record(genesis) + _encode_record(snapshot)
+            JOURNAL_MAGIC
+            + _genesis_frame(genesis)
+            + compacted.read_bytes()[after_genesis:]
         )
         backend, levels, resaved, report = self._open(d)
         assert backend == "columnar-frontier"

@@ -282,6 +282,39 @@ def test_checkpoint_bytes_reach_telemetry_registry_and_events(tmp_path, recorder
     assert flightrec.EVENT_FIELDS[EventType.CHECKPOINT] == ("seq", "bytes")
 
 
+def test_journal_bytes_reach_telemetry_and_registry(tmp_path):
+    """Every journal frame's bytes are counted in ``journal_bytes`` and
+    mirrored as ``service_journal_bytes_total``: the field, the counter
+    and the file size agree, and a reopened service starts from its
+    compacted file."""
+    from repro import obs
+    from repro.runtime.supervisor import JOURNAL_FILENAME, SupervisedCPLDS
+
+    journal = tmp_path / JOURNAL_FILENAME
+    was = obs.REGISTRY.enabled
+    obs.enable()
+    try:
+        for reopen in (False, True):
+            obs.reset()
+            if reopen:
+                service, _ = SupervisedCPLDS.open(tmp_path, checkpoint_every=1)
+                assert service.telemetry.journal_bytes == journal.stat().st_size
+            else:
+                cp = CPLDS(300)
+                cp.insert_batch([(0, 1)])  # non-empty adoption: a checkpoint note
+                service = SupervisedCPLDS(cp, journal_dir=tmp_path, checkpoint_every=1)
+            service.apply_batch(insertions=[(1, 2), (2, 299)])
+            service.apply_batch(insertions=[(0, 2)], deletions=[(0, 1)])
+            service.close()
+            total = obs.REGISTRY.counter_value("service_journal_bytes_total")
+            assert service.telemetry.journal_bytes == journal.stat().st_size == total
+            assert service.telemetry.as_dict()["journal_bytes"] == total
+    finally:
+        obs.reset()
+        if not was:
+            obs.disable()
+
+
 def test_dump_flight_record_disabled_returns_none(tmp_path):
     from repro.runtime.supervisor import SupervisedCPLDS
 
