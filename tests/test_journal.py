@@ -90,6 +90,16 @@ class TestRoundTrip(_RoundTrip):
         assert j.size == os.path.getsize(path)
 
 
+    def test_negative_ids_are_recorded_as_submitted(self, tmp_path):
+        """The engine rejects a negative id after the write-ahead record;
+        the record still holds the submitted values."""
+        path = tmp_path / "j.jsonl"
+        with self.make(path) as j:
+            j.append_batch([(-1, 3)], [(2, -70000)])
+        (record,) = BatchJournal.scan(path).records
+        assert record["ins"] == [(-1, 3)] and record["del"] == [(2, -70000)]
+
+
 class TestRoundTripV1(_RoundTrip):
     writer = V1Journal
 
