@@ -87,6 +87,15 @@ class JournalCorruptError(PersistError):
     """
 
 
+class JournalEncodeError(PersistError):
+    """A batch names an endpoint no journal word holds.
+
+    Raised by :meth:`repro.persist.BatchJournal.append_batch` when an
+    endpoint is not an integer in the ``int64`` range; nothing is written,
+    so the journal stays usable and the service quarantines the update.
+    """
+
+
 class CoordinatorClosedError(ReproError):
     """An update was submitted to a coordinator after :meth:`close`.
 

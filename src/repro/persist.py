@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import os
 import struct
 import zlib
@@ -55,6 +56,7 @@ from repro.errors import (
     BatchInProgressError,
     CheckpointCorruptError,
     JournalCorruptError,
+    JournalEncodeError,
     PersistError,
     ReproError,
 )
@@ -456,9 +458,10 @@ class JournalContents:
     ``records`` preserves file order; ``torn_tail`` reports whether the scan
     dropped an incomplete final record (the normal signature of a crash
     mid-append — not an error).  Both journal versions scan to the same
-    record dicts.  ``genesis_bytes`` is the length of the file's prefix
-    through the genesis record (the magic included) and ``intact_bytes``
-    the length of its prefix through the last intact record.
+    record dicts.  For a version-2 file, ``genesis_bytes`` is the length of
+    the file's prefix through the genesis record (the magic included) and
+    ``intact_bytes`` the length of its prefix through the last intact
+    record; a version-1 scan leaves both 0, since no writer appends to it.
     """
 
     genesis: dict
@@ -572,8 +575,7 @@ def _scan_lines(data: bytes, name: str) -> JournalContents:
         raise JournalCorruptError(
             f"journal {name!r} has an invalid genesis record"
         )
-    contents = JournalContents(genesis=genesis, genesis_bytes=len(lines[0]))
-    intact = len(lines[0])
+    contents = JournalContents(genesis=genesis)
     for i, line in enumerate(lines[1:], start=1):
         payload = _decode_line(line)
         if payload is None:
@@ -584,8 +586,6 @@ def _scan_lines(data: bytes, name: str) -> JournalContents:
                 f"journal {name!r} record {i} is corrupt (not at the tail)"
             )
         contents.records.append(payload)
-        intact += len(line)
-    contents.intact_bytes = intact
     return contents
 
 
@@ -625,6 +625,27 @@ def _frame(kind: int, payload: bytes) -> bytes:
 def _genesis_frame(payload: dict) -> bytes:
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return _frame(_GENESIS, body.encode("utf-8"))
+
+
+def _endpoints(insertions: Sequence[Edge], deletions: Sequence[Edge]) -> np.ndarray:
+    """A batch's flattened endpoints as ``int64``, inserts first.
+
+    Raises :class:`~repro.errors.JournalEncodeError` when an endpoint is
+    not an integer in the ``int64`` range, before anything is written.
+    """
+    pairs = [*insertions, *deletions]
+    ends = np.array(pairs).reshape(-1)
+    if ends.dtype.kind in "bi" or not ends.size:
+        return ends.astype(np.int64, copy=False)
+    # numpy inferred a float, unsigned or object word: check every endpoint.
+    try:
+        return np.array(
+            [operator.index(x) for edge in pairs for x in edge], dtype=np.int64
+        )
+    except (TypeError, OverflowError) as exc:
+        raise JournalEncodeError(
+            f"batch names an endpoint that is not an int64 vertex id: {exc}"
+        ) from exc
 
 
 def _words(values: np.ndarray) -> tuple[int, bytes]:
@@ -954,10 +975,10 @@ class BatchJournal:
         self, insertions: Sequence[Edge], deletions: Sequence[Edge]
     ) -> int:
         """Write-ahead record for one batch; returns its sequence number."""
+        ends = _endpoints(insertions, deletions)
+        code, words = _words(ends if ends.size and ends.min() < 0 else _narrow(ends))
         seq = self._next_seq
         self._next_seq += 1
-        ends = np.asarray([*insertions, *deletions], dtype=np.int64).reshape(-1)
-        code, words = _words(ends if ends.size and ends.min() < 0 else _narrow(ends))
         head = _BATCH_HEAD.pack(seq, len(insertions), len(deletions), code)
         self._write(_frame(_BATCH, head + words))
         return seq

@@ -42,6 +42,7 @@ from typing import Callable, Iterable, Optional
 from repro.core.cplds import CPLDS
 from repro.errors import (
     CheckpointCorruptError,
+    JournalEncodeError,
     PersistError,
     PoisonUpdateError,
     ServiceFailedError,
@@ -679,6 +680,11 @@ class SupervisedCPLDS:
         except ServiceFailedError:
             self._drop_all(ins, dels, outcome)
             return
+        except JournalEncodeError:
+            # Nothing was written and no retry can help: isolate the update.
+            self.telemetry.batch_failures += 1
+            self._isolate(ins, dels, 0, outcome)
+            return
 
         attempts = 0
         while True:
@@ -705,7 +711,14 @@ class SupervisedCPLDS:
                     return
                 self._after_commit(seq, ins, dels, outcome)
                 return
+        self._isolate(ins, dels, attempts, outcome)
 
+    def _isolate(
+        self, ins: list[Edge], dels: list[Edge], attempts: int,
+        outcome: BatchOutcome,
+    ) -> None:
+        """Bisect a deterministically failing (sub-)batch; quarantine a
+        single update that still fails."""
         ops = [("+", e) for e in ins] + [("-", e) for e in dels]
         if len(ops) == 1:
             op, edge = ops[0]
@@ -732,6 +745,8 @@ class SupervisedCPLDS:
             return seq
         try:
             seq = self._journal.append_batch(ins, dels)
+        except JournalEncodeError:
+            raise
         except Exception as exc:
             self._fail(exc)
             raise ServiceFailedError("journal append failed") from exc

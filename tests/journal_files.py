@@ -11,10 +11,9 @@ from __future__ import annotations
 import io
 import json
 import os
-import struct
 import zlib
 
-from repro.persist import JOURNAL_MAGIC, _genesis_payload
+from repro.persist import _HEAD, _HEADER_BYTES, JOURNAL_MAGIC, _genesis_payload
 
 
 def v1_line(payload: dict) -> bytes:
@@ -71,8 +70,8 @@ def record_spans(data: bytes) -> list[tuple[int, int]]:
     if data.startswith(JOURNAL_MAGIC):
         pos = len(JOURNAL_MAGIC)
         while pos < len(data):
-            (length,) = struct.unpack_from("<I", data, pos + 1)
-            spans.append((pos, pos + 13 + length))
+            _, length = _HEAD.unpack_from(data, pos)
+            spans.append((pos, pos + _HEADER_BYTES + length))
             pos = spans[-1][1]
         return spans
     pos = 0

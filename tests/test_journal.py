@@ -8,14 +8,16 @@ files written by ``tests/journal_files.py``.
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CPLDS
-from repro.errors import JournalCorruptError, PersistError
+from repro.errors import JournalCorruptError, JournalEncodeError, PersistError
 from repro.lds import LDSParams
 from repro.persist import (
+    _HEADER_BYTES,
     JOURNAL_MAGIC,
     JOURNAL_VERSION,
     BatchJournal,
@@ -89,7 +91,6 @@ class TestRoundTrip(_RoundTrip):
         assert BatchJournal.scan(path).genesis["journal_version"] == 2
         assert j.size == os.path.getsize(path)
 
-
     def test_negative_ids_are_recorded_as_submitted(self, tmp_path):
         """The engine rejects a negative id after the write-ahead record;
         the record still holds the submitted values."""
@@ -98,6 +99,20 @@ class TestRoundTrip(_RoundTrip):
             j.append_batch([(-1, 3)], [(2, -70000)])
         (record,) = BatchJournal.scan(path).records
         assert record["ins"] == [(-1, 3)] and record["del"] == [(2, -70000)]
+
+    @pytest.mark.parametrize(
+        "bad", [(0, 2**64), (0, 2**63), (-(2**63) - 1, 1), (0, 1.5), (0, "3")]
+    )
+    def test_endpoint_no_word_holds_is_refused_unwritten(self, tmp_path, bad):
+        path = tmp_path / "j.jsonl"
+        with self.make(path) as j:
+            size = j.size
+            with pytest.raises(JournalEncodeError):
+                j.append_batch([(1, 2), bad], [])
+            assert j.size == size
+            assert j.append_batch([(np.uint64(2**63 - 1), 1)], []) == 1
+        (record,) = BatchJournal.scan(path).records
+        assert record["ins"] == [(2**63 - 1, 1)]
 
 
 class TestRoundTripV1(_RoundTrip):
@@ -209,7 +224,7 @@ class TestDamage(_Damage):
         path = self._journal_with_batches(tmp_path / "j.jsonl")
         data = path.read_bytes()
         start, _ = record_spans(data)[3]
-        for offset in range(start, start + 13):
+        for offset in range(start, start + _HEADER_BYTES):
             path.write_bytes(data)
             flip(path, offset)
             with pytest.raises(JournalCorruptError):

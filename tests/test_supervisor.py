@@ -9,6 +9,7 @@ equality, not approximation.
 
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,23 @@ class TestRecovery:
         assert sorted(applied_edges) == sorted(TRIANGLES)
         assert service.health is HealthState.DEGRADED
         assert_matches_oracle(service, outcome.applied)
+
+    @pytest.mark.parametrize(
+        "bad", [(0, 2**64), (0, np.uint64(2**63)), (-(2**63) - 1, 1), (0, 1.5)]
+    )
+    def test_update_no_journal_word_holds_is_quarantined(self, tmp_path, bad):
+        service, _ = supervised(tmp_path)
+        outcome = service.apply_batch(TRIANGLES[:3] + [bad])
+        assert [d.edge for d in outcome.dropped] == [bad]
+        assert isinstance(outcome.dropped[0].error, PoisonUpdateError)
+        assert service.health is HealthState.DEGRADED
+        history = outcome.applied + service.apply_batch(TRIANGLES[3:]).applied
+        assert [e for r in history for e in r.insertions] == TRIANGLES
+        assert_matches_oracle(service, history)
+        service.close()
+        reopened, _ = SupervisedCPLDS.open(tmp_path)
+        _LIVE_SERVICES.append(reopened)
+        assert reopened.impl.levels() == service.impl.levels()
 
     def test_degraded_clears_after_clean_batches(self, tmp_path):
         service, hooks = supervised(tmp_path, degraded_clearance=2)
